@@ -2,7 +2,6 @@
 Laplace-integral sandwich bounds, monomial moments, and the coefficient-level
 duality transform with its operator bounds."""
 
-from ._scan import BACKEND
 from .config import DEFAULT, NumericsConfig
 from .duality import (
     BoundReport,

@@ -3,7 +3,7 @@
 Two conjugation surfaces live here:
 
 * grid-to-grid transforms (`conjugate_1d`, `conjugate_nd`) built on the
-  linear-time hull scan kernel, used for dual tables and biconjugation;
+  lower-hull kernel of `_scan`, used for dual tables and biconjugation;
 * per-point truncated sups (`truncated_sup`, `log_conj`, `dual_log_conj`)
   over decay-budget boxes, used by the identity verifiers and by the
   Laplace/moment modules.
@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._scan import conjugate_lines
+from ._scan import Hull, conjugate_lines
 from .config import DEFAULT, NumericsConfig
 from .weights import WeightFunction
 
@@ -516,13 +516,13 @@ def truncated_sup(fn: GridFn, y, cfg: NumericsConfig = DEFAULT,
 
 
 class _NumericDual:
-    """Conjugate of a weight evaluated through discrete scans of its samples."""
+    """Conjugate of a weight evaluated through hull queries of its samples."""
 
     def __init__(self, w: WeightFunction, cfg: NumericsConfig):
         self.w = w
         self.cfg = cfg
         self.n = w.n
-        self._axis_samples: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._axis_samples: Optional[tuple[np.ndarray, np.ndarray, Hull]] = None
         self._nd_samples: Optional[tuple[list[np.ndarray], np.ndarray]] = None
 
     def _primal_extent(self, r_max: float) -> float:
@@ -542,30 +542,31 @@ class _NumericDual:
         )
         return hi
 
-    def _axis_table(self, r_max: float) -> tuple[np.ndarray, np.ndarray]:
-        if self._axis_samples is not None:
-            nodes, vals = self._axis_samples
-            if nodes[-1] >= self._primal_extent(r_max) - 1e-12:
-                return nodes, vals
+    def _axis_table(self, r_max: float) -> tuple[np.ndarray, np.ndarray, Hull]:
+        """Per-axis samples reaching far enough for duals up to ``r_max``,
+        with their lower hull; both are rebuilt only when the extent grows."""
         extent = self._primal_extent(r_max)
-        step = self.cfg.conj_step_1d
-        nodes = np.linspace(0.0, extent, int(math.ceil(extent / step)) + 1)
-        vals = self.w.axis_profile()(nodes)
-        self._axis_samples = (nodes, vals)
-        return nodes, vals
+        if self._axis_samples is None or self._axis_samples[0][-1] < extent - 1e-12:
+            step = self.cfg.conj_step_1d
+            nodes = np.linspace(0.0, extent, int(math.ceil(extent / step)) + 1)
+            vals = self.w.axis_profile()(nodes)
+            self._axis_samples = (nodes, vals, Hull(nodes, vals))
+        return self._axis_samples
 
     def _nd_table(self, r_max: float) -> tuple[list[np.ndarray], np.ndarray]:
-        if self._nd_samples is not None:
-            axes, vals = self._nd_samples
-            if axes[0][-1] >= self._primal_extent(r_max) - 1e-12:
-                return axes, vals
         extent = self._primal_extent(r_max)
-        step = max(self.cfg.conj_step_nd, extent / 1200)
-        nodes = np.linspace(0.0, extent, int(math.ceil(extent / step)) + 1)
-        axes = [nodes] * self.n
-        vals = self.w.eval_on_axes(axes)
-        self._nd_samples = (axes, vals)
-        return axes, vals
+        if self._nd_samples is None or self._nd_samples[0][0][-1] < extent - 1e-12:
+            step = max(self.cfg.conj_step_nd, extent / 1200)
+            nodes = np.linspace(0.0, extent, int(math.ceil(extent / step)) + 1)
+            axes = [nodes] * self.n
+            self._nd_samples = (axes, self.w.eval_on_axes(axes))
+        return self._nd_samples
+
+    def profile(self, r: np.ndarray) -> np.ndarray:
+        """Per-axis conjugate at |r|, for separable weights."""
+        r = np.abs(np.asarray(r, dtype=np.float64))
+        _, _, hull = self._axis_table(float(r.max()) if r.size else 1.0)
+        return hull.conjugate(r)
 
     def eval(self, pts: np.ndarray) -> np.ndarray:
         pts = np.abs(np.asarray(pts, dtype=np.float64))
@@ -573,13 +574,10 @@ class _NumericDual:
         flat = pts.reshape(-1, self.n)
         r_max = float(flat.max()) if flat.size else 1.0
         if self.w.is_separable:
-            nodes, vals = self._axis_table(r_max)
-            rows = vals[None, :]
+            _, _, hull = self._axis_table(r_max)
             total = np.zeros(flat.shape[0])
             for j in range(self.n):
-                order = np.argsort(flat[:, j], kind="stable")
-                conj = conjugate_lines(nodes, rows, flat[order, j])[0]
-                total[order] += conj
+                total += hull.conjugate(flat[:, j])
             return total.reshape(out_shape)
         axes, vals = self._nd_table(r_max)
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -595,44 +593,25 @@ class _NumericDual:
         axes = [np.abs(np.asarray(a, dtype=np.float64)) for a in axes]
         r_max = max(float(a.max()) for a in axes)
         if self.w.is_separable:
-            nodes, vals = self._axis_table(r_max)
-            rows = vals[None, :]
+            _, _, hull = self._axis_table(r_max)
             n = self.n
             total = np.zeros(tuple(len(a) for a in axes))
             for j, a in enumerate(axes):
-                order = np.argsort(a, kind="stable")
-                conj = np.empty(len(a))
-                conj[order] = conjugate_lines(nodes, rows, a[order])[0]
                 sl = [None] * n
                 sl[j] = slice(None)
-                total = total + conj[tuple(sl)]
+                total = total + hull.conjugate(a)[tuple(sl)]
             return total
-        p_axes, vals = self._nd_table(r_max)
-        t = vals
+        p_axes, t = self._nd_table(r_max)
         for j, a in enumerate(axes):
             if j > 0:
                 t = -t
-            order = np.argsort(a, kind="stable")
-            scanned = _scan_axis(p_axes[j], t, a[order], j)
-            t = np.take(scanned, np.argsort(order, kind="stable"), axis=j)
+            t = _scan_axis(p_axes[j], t, a, j)
         return t
 
 
 def numeric_dual_weight(w: WeightFunction, cfg: NumericsConfig = DEFAULT) -> WeightFunction:
-    """Conjugate weight computed by discrete scans (no closed form needed)."""
+    """Conjugate weight computed from sampled hulls (no closed form needed)."""
     nd = _NumericDual(w, cfg)
-    profile = None
-    if w.is_separable:
-        # the conjugate of a sum of per-axis profiles is the per-axis conjugate sum
-        def profile(r: np.ndarray) -> np.ndarray:
-            r = np.abs(np.asarray(r, dtype=np.float64))
-            nodes, vals = nd._axis_table(float(r.max()) if r.size else 1.0)
-            flat = r.ravel()
-            order = np.argsort(flat, kind="stable")
-            out = np.empty(flat.shape[0])
-            out[order] = conjugate_lines(nodes, vals[None, :], flat[order])[0]
-            return out.reshape(r.shape)
-
     return WeightFunction(
         n=w.n,
         eval=nd.eval,
@@ -640,7 +619,8 @@ def numeric_dual_weight(w: WeightFunction, cfg: NumericsConfig = DEFAULT) -> Wei
         conjugate_closed_form=None,
         terms=None,
         grid_eval=nd.eval_on_axes,
-        separable_profile=profile,
+        # the conjugate of a sum of per-axis profiles is the per-axis conjugate sum
+        separable_profile=nd.profile if w.is_separable else None,
     )
 
 

@@ -2,6 +2,7 @@
 per-point conjugates, and the conjugation-identity verifiers."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fockdual as fd
+from fockdual import fenchel
 from fockdual.fenchel import log_image, symmetrized_fn
+
+SEP1_WEIGHT = Path(__file__).resolve().parents[1] / "fdbench" / "weights" / "sep1.json"
 
 
 def grid(lo, hi, count):
@@ -293,6 +297,38 @@ def test_numeric_dual_radial_nonseparable():
     q = 1.5
     closed = np.linalg.norm(pts, axis=1) ** q / q
     assert np.max(np.abs(numeric.eval(pts) - closed)) <= 1e-3
+
+
+def test_numeric_dual_paths_agree_and_build_one_hull(monkeypatch):
+    w = fd.weight_from_json(SEP1_WEIGHT)
+    nodes, vals, _ = fenchel._NumericDual(w, fd.DEFAULT)._axis_table(3.75)
+    built = []
+
+    class CountingHull(fenchel.Hull):
+        def __init__(self, y, f):
+            built.append(len(y))
+            super().__init__(y, f)
+
+    monkeypatch.setattr(fenchel, "Hull", CountingHull)
+    dual = fd.numeric_dual_weight(w)
+    # unsorted, negative and repeated queries; the dual is even
+    r = np.array([2.5, -1.0, 0.0, 3.75, -2.5, 1.0, 1.0, -3.75, 0.3, 2.5])
+    by_eval = dual.eval(r[:, None])
+    assert np.array_equal(dual.grid_eval([r]), by_eval)
+    assert np.array_equal(dual.separable_profile(r), by_eval)
+    assert np.array_equal(dual.separable_profile(np.sort(np.abs(r))),
+                          by_eval[np.argsort(np.abs(r), kind="stable")])
+    brute = np.max(np.abs(r)[:, None] * nodes[None, :] - vals[None, :], axis=1)
+    assert np.max(np.abs(by_eval - brute)) <= 1e-12
+
+    # queries inside the sampled extent reuse the one hull
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        q = rng.uniform(-3.75, 3.75, 64)
+        dual.eval(q[:, None])
+        dual.grid_eval([q])
+        dual.separable_profile(q)
+    assert len(built) == 1
 
 
 def test_divergence_profile_fock(fock1):
