@@ -139,16 +139,19 @@ class StirlingReport:
 
 
 def stirling_identity_check(phi: WeightFunction, alpha: MultiIndex,
-                            cfg: NumericsConfig = DEFAULT) -> StirlingReport:
+                            cfg: NumericsConfig = DEFAULT,
+                            phi_dual: Optional[WeightFunction] = None) -> StirlingReport:
     """Envelope check for the normalized conjugate-sum ratio.
 
     r = e^{2 (s + s*)} / alpha!^2 * (2 pi)^n / prod(alpha_j + 1), with s and
     s* the log-substituted conjugates of the weight and its dual at the
     shifted index, must lie in (prod e^{-1/(6 (alpha_j + 1))}, 1].
     """
+    if phi_dual is None:
+        phi_dual = dual_weight(phi, cfg)
     shifted = np.asarray(alpha.shifted(), dtype=np.float64)
     s = truncated_sup(log_image(phi), shifted, cfg).value
-    s_dual = truncated_sup(log_image(dual_weight(phi, cfg)), shifted, cfg).value
+    s_dual = truncated_sup(log_image(phi_dual), shifted, cfg).value
     ln_ratio = (
         2.0 * (s + s_dual)
         - 2.0 * alpha.log_factorial()

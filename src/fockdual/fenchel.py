@@ -122,12 +122,23 @@ class GridFn:
 
     ``axis_profiles`` is set when the function splits as a sum of 1-D
     profiles, which unlocks the exact per-axis conjugation fast path.
+    ``key`` names the function by value (see `_weight_key`); sups, volumes
+    and integrals of a keyed function are memoized on it (see `memoized`).
     """
 
     n: int
     at: Callable[[np.ndarray], np.ndarray]
     on_axes: Callable[[Sequence[np.ndarray]], np.ndarray]
     axis_profiles: Optional[tuple[Callable[[np.ndarray], np.ndarray], ...]] = None
+    key: Optional[tuple] = None
+
+
+def _weight_key(kind: str, w: WeightFunction) -> Optional[tuple]:
+    """The key of a grid function made from a weight by value: its terms
+    define its evaluators, so fock:N and its structural dual fock:N* give one
+    key. Weights without terms (numeric duals, whose tables grow, and custom
+    evaluators) give none."""
+    return None if w.terms is None else (kind, (w.n, w.terms))
 
 
 def symmetrized_fn(w: WeightFunction) -> GridFn:
@@ -141,6 +152,7 @@ def symmetrized_fn(w: WeightFunction) -> GridFn:
         at=w.symmetrized,
         on_axes=w.eval_on_axes,
         axis_profiles=profiles,
+        key=_weight_key("sym", w),
     )
 
 
@@ -164,7 +176,8 @@ def log_image(w: WeightFunction) -> GridFn:
                 return prof(np.exp(np.asarray(t, dtype=np.float64)))
 
         profiles = tuple([log_prof] * w.n)
-    return GridFn(n=w.n, at=at, on_axes=on_axes, axis_profiles=profiles)
+    return GridFn(n=w.n, at=at, on_axes=on_axes, axis_profiles=profiles,
+                  key=_weight_key("log", w))
 
 
 def scale_fn(fn: GridFn, c: float) -> GridFn:
@@ -176,6 +189,7 @@ def scale_fn(fn: GridFn, c: float) -> GridFn:
         at=lambda x: c * fn.at(x),
         on_axes=lambda axes: c * fn.on_axes(axes),
         axis_profiles=profiles,
+        key=None if fn.key is None else ("scale", fn.key, float(c)),
     )
 
 
@@ -294,13 +308,45 @@ def log_substitute(u, box: Sequence[GridAxis]) -> SampledFunction:
 
 @dataclass(frozen=True)
 class SupResult:
-    """Truncated sup of a concave objective with its decay box."""
+    """Truncated sup of a concave objective with its decay box.
+
+    The arrays are made read-only: the memo hands one result to every caller.
+    """
 
     value: float
     argmax: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     curvature: np.ndarray = field(default_factory=lambda: np.array([]))
+
+    def __post_init__(self):
+        for a in (self.argmax, self.lo, self.hi, self.curvature):
+            a.flags.writeable = False
+
+
+# Per-process memo of sups, sublevel volumes and Laplace integrals of keyed
+# objectives; each entry is a small result object, and a run holds a few
+# hundred of them.
+_MEMO: dict = {}
+
+
+def memoized(fn_key: Optional[tuple], inputs: tuple, compute: Callable[[], object]):
+    """``compute()``, computed once per process for each objective key and
+    the remaining ``inputs`` that decide its result; an objective without a
+    key (``fn_key`` None) is never memoized."""
+    if fn_key is None:
+        return compute()
+    key = (fn_key,) + inputs
+    try:
+        return _MEMO[key]
+    except KeyError:
+        out = _MEMO[key] = compute()
+        return out
+
+
+def value_bytes(a) -> bytes:
+    """An array's float64 value as a memo key component (-0.0 and 0.0 differ)."""
+    return np.asarray(a, dtype=np.float64).tobytes()
 
 
 _EXPAND_CAP = 600.0
@@ -451,11 +497,18 @@ def truncated_sup(fn: GridFn, y, cfg: NumericsConfig = DEFAULT,
     """sup over t of <y, t> - fn(t), truncated to the decay-budget box.
 
     Separable objectives are maximized axis by axis (exact factorization);
-    otherwise the box is gridded and the max taken over nodes.
+    otherwise the box is gridded and the max taken over nodes. Computed
+    once per process for each keyed ``fn`` and each (y, cfg, floor).
     """
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if y.shape != (fn.n,):
         raise ValueError("dual point dimension mismatch")
+    return memoized(fn.key, ("sup", value_bytes(y), cfg, floor),
+                    lambda: _truncated_sup(fn, y, cfg, floor))
+
+
+def _truncated_sup(fn: GridFn, y: np.ndarray, cfg: NumericsConfig,
+                   floor: Optional[float]) -> SupResult:
     if fn.axis_profiles is not None:
         step = cfg.step_for(fn.n, separable=True)
         total = 0.0
@@ -524,6 +577,10 @@ class _NumericDual:
         self.n = w.n
         self._axis_samples: Optional[tuple[np.ndarray, np.ndarray, Hull]] = None
         self._nd_samples: Optional[tuple[list[np.ndarray], np.ndarray]] = None
+        # largest r_max each table is known to serve: the extent grows with
+        # r_max, so a query at or below it needs no extent sup
+        self._axis_reach = -math.inf
+        self._nd_reach = -math.inf
 
     def _primal_extent(self, r_max: float) -> float:
         fn = symmetrized_fn(self.w)
@@ -545,21 +602,25 @@ class _NumericDual:
     def _axis_table(self, r_max: float) -> tuple[np.ndarray, np.ndarray, Hull]:
         """Per-axis samples reaching far enough for duals up to ``r_max``,
         with their lower hull; both are rebuilt only when the extent grows."""
-        extent = self._primal_extent(r_max)
-        if self._axis_samples is None or self._axis_samples[0][-1] < extent - 1e-12:
-            step = self.cfg.conj_step_1d
-            nodes = np.linspace(0.0, extent, int(math.ceil(extent / step)) + 1)
-            vals = self.w.axis_profile()(nodes)
-            self._axis_samples = (nodes, vals, Hull(nodes, vals))
+        if not r_max <= self._axis_reach:
+            extent = self._primal_extent(r_max)
+            if self._axis_samples is None or self._axis_samples[0][-1] < extent - 1e-12:
+                step = self.cfg.conj_step_1d
+                nodes = np.linspace(0.0, extent, int(math.ceil(extent / step)) + 1)
+                vals = self.w.axis_profile()(nodes)
+                self._axis_samples = (nodes, vals, Hull(nodes, vals))
+            self._axis_reach = r_max
         return self._axis_samples
 
     def _nd_table(self, r_max: float) -> tuple[list[np.ndarray], np.ndarray]:
-        extent = self._primal_extent(r_max)
-        if self._nd_samples is None or self._nd_samples[0][0][-1] < extent - 1e-12:
-            step = max(self.cfg.conj_step_nd, extent / 1200)
-            nodes = np.linspace(0.0, extent, int(math.ceil(extent / step)) + 1)
-            axes = [nodes] * self.n
-            self._nd_samples = (axes, self.w.eval_on_axes(axes))
+        if not r_max <= self._nd_reach:
+            extent = self._primal_extent(r_max)
+            if self._nd_samples is None or self._nd_samples[0][0][-1] < extent - 1e-12:
+                step = max(self.cfg.conj_step_nd, extent / 1200)
+                nodes = np.linspace(0.0, extent, int(math.ceil(extent / step)) + 1)
+                axes = [nodes] * self.n
+                self._nd_samples = (axes, self.w.eval_on_axes(axes))
+            self._nd_reach = r_max
         return self._nd_samples
 
     def profile(self, r: np.ndarray) -> np.ndarray:

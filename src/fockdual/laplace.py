@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT, NumericsConfig
-from .fenchel import DivergenceError, GridFn, SupResult, truncated_sup
+from .fenchel import DivergenceError, GridFn, SupResult, memoized, truncated_sup, value_bytes
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,17 @@ def sublevel_volume(spec: SublevelSpec, method: str = "grid",
     The grid method counts cells whose centers satisfy the membership
     predicate; its half_width is the total volume of surface cells (cells
     adjacent to a membership flip). Monte-Carlo reports a 99% Wilson
-    interval scaled by the bounding-box volume.
+    interval scaled by the bounding-box volume. Computed once per process
+    for each keyed ``spec.h`` and each set of remaining inputs.
     """
+    inputs = ("volume", value_bytes(spec.y), spec.p, spec.hstar_y,
+              value_bytes(spec.argmax), method, resolution, cfg, seed)
+    return memoized(spec.h.key, inputs,
+                    lambda: _sublevel_volume(spec, method, resolution, cfg, seed))
+
+
+def _sublevel_volume(spec: SublevelSpec, method: str, resolution: Optional[int],
+                     cfg: NumericsConfig, seed: int) -> VolumeEstimate:
     n = spec.h.n
     lo, hi = _bounding_box(spec)
     box_vol = float(np.prod(hi - lo))
@@ -202,10 +211,18 @@ def laplace_integral(h: GridFn, y, cfg: NumericsConfig = DEFAULT,
     The box is where the exponent has dropped ``decay_budget`` below its
     max, so the relative truncation error is on the e^{-decay_budget}
     scale; the reported rel_error adds a stride-2 Simpson comparison.
+    Computed once per process for each keyed ``h``, ``y``, ``cfg`` and box.
     """
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if sup is None:
         sup = truncated_sup(h, y, cfg)
+    inputs = ("integral", value_bytes(y), cfg,
+              value_bytes(sup.lo), value_bytes(sup.hi), value_bytes(sup.curvature))
+    return memoized(h.key, inputs, lambda: _laplace_integral(h, y, cfg, sup))
+
+
+def _laplace_integral(h: GridFn, y: np.ndarray, cfg: NumericsConfig,
+                      sup: SupResult) -> IntegralEstimate:
     n = h.n
     axes = []
     weights = []

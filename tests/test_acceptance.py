@@ -13,7 +13,7 @@ import pytest
 from scipy.optimize import brentq
 
 import fockdual as fd
-from fockdual import cli
+from fockdual import cli, fenchel
 from fockdual.fenchel import symmetrized_fn
 from fockdual.moments import MultiIndex, iter_indices
 
@@ -194,9 +194,11 @@ def test_criterion_9_orthogonality(fock1, power4_1):
             f"max |(z^a, z^b)| / sqrt(c_a c_b) = {worst:.1e} <= 1e-8")
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, monkeypatch):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
+        # each run starts from an empty memo, as a fresh process does
+        monkeypatch.setattr(fenchel, "_MEMO", {})
         code = cli.main(["all", "--weight-preset", "fock:1", "--seed", "0",
                          "--out", str(out)])
         assert code == 0

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import fockdual as fd
-from fockdual import cli
+from fockdual import cli, fenchel
 
 
 def run_cli(args):
@@ -94,10 +94,12 @@ def test_json_format(tmp_path):
     assert all(row["verdict"] is True for row in payload)
 
 
-def test_all_deterministic(tmp_path):
+def test_all_deterministic(tmp_path, monkeypatch):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     for out in (out_a, out_b):
+        # each run starts from an empty memo, as a fresh process does
+        monkeypatch.setattr(fenchel, "_MEMO", {})
         assert run_cli(["all", "--weight-preset", "fock:1", "--degree", "5",
                         "--seed", "0", "--out", str(out)]) == 0
     files_a = sorted(p.name for p in out_a.iterdir())

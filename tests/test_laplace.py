@@ -7,6 +7,7 @@ import pytest
 
 import fockdual as fd
 from fockdual.fenchel import symmetrized_fn
+from fockdual.laplace import _sublevel_volume
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +51,11 @@ def test_volume_monte_carlo_agrees_with_grid(h2):
     vm = fd.sublevel_volume(spec, method="monte-carlo", resolution=200_000, seed=7)
     assert vm.method == "monte-carlo"
     assert abs(vg.value - vm.value) <= vg.half_width + vm.half_width
-    # seeded generator: identical reruns
+    # seeded generator: identical reruns, from the memo and computed afresh
     vm2 = fd.sublevel_volume(spec, method="monte-carlo", resolution=200_000, seed=7)
     assert vm2.value == vm.value
+    fresh = _sublevel_volume(spec, "monte-carlo", 200_000, fd.DEFAULT, 7)
+    assert fresh.value == vm.value
 
 
 def test_volume_unbounded_rejected():
