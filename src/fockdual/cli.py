@@ -144,9 +144,13 @@ def _probe_points(n: int) -> list:
 
 
 def _axis_weight(w: WeightFunction) -> WeightFunction:
+    """The 1-D restriction of a separable weight. With terms it is the n = 1
+    weight with the same terms: the same floats, a memo key, and convex by
+    construction."""
     prof = w.axis_profile()
     return WeightFunction(
-        n=1, eval=lambda x: prof(x[..., 0]), label=w.label + "|axis"
+        n=1, eval=lambda x: prof(x[..., 0]), label=w.label + "|axis",
+        terms=w.terms,
     )
 
 
@@ -198,7 +202,7 @@ def cmd_conjugate(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> Sui
         for j in range(w.n):
             sl = [None] * w.n
             sl[j] = slice(None)
-            log_tensor = log_tensor + axis_vals[tuple(sl)]
+            log_tensor += axis_vals[tuple(sl)]
     else:
         log_tensor = np.array(
             [fenchel.log_conj(w, c, cfg) for c in coords]

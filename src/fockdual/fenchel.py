@@ -124,6 +124,8 @@ class GridFn:
     profiles, which unlocks the exact per-axis conjugation fast path.
     ``key`` names the function by value (see `_weight_key`); sups, volumes
     and integrals of a keyed function are memoized on it (see `memoized`).
+    ``convex`` is set when the function is convex by construction, so that
+    <y, t> - fn(t) is concave in t for every y (see `_sup_line`).
     """
 
     n: int
@@ -131,6 +133,7 @@ class GridFn:
     on_axes: Callable[[Sequence[np.ndarray]], np.ndarray]
     axis_profiles: Optional[tuple[Callable[[np.ndarray], np.ndarray], ...]] = None
     key: Optional[tuple] = None
+    convex: bool = False
 
 
 def _weight_key(kind: str, w: WeightFunction) -> Optional[tuple]:
@@ -142,7 +145,8 @@ def _weight_key(kind: str, w: WeightFunction) -> Optional[tuple]:
 
 
 def symmetrized_fn(w: WeightFunction) -> GridFn:
-    """The even extension g(x) = eval(abs x) as a grid function on R^n."""
+    """The even extension g(x) = eval(abs x) as a grid function on R^n; it is
+    convex when w is convex and nondecreasing on [0, inf)^n."""
     profiles = None
     if w.is_separable:
         prof = w.axis_profile()
@@ -153,11 +157,13 @@ def symmetrized_fn(w: WeightFunction) -> GridFn:
         on_axes=w.eval_on_axes,
         axis_profiles=profiles,
         key=_weight_key("sym", w),
+        convex=w.convex_by_construction,
     )
 
 
 def log_image(w: WeightFunction) -> GridFn:
-    """The log substitution t -> eval(e^{t_1}, ..., e^{t_n})."""
+    """The log substitution t -> eval(e^{t_1}, ..., e^{t_n}); it is convex
+    when w is convex and nondecreasing on [0, inf)^n."""
 
     def at(t: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
@@ -177,7 +183,7 @@ def log_image(w: WeightFunction) -> GridFn:
 
         profiles = tuple([log_prof] * w.n)
     return GridFn(n=w.n, at=at, on_axes=on_axes, axis_profiles=profiles,
-                  key=_weight_key("log", w))
+                  key=_weight_key("log", w), convex=w.convex_by_construction)
 
 
 def scale_fn(fn: GridFn, c: float) -> GridFn:
@@ -190,7 +196,24 @@ def scale_fn(fn: GridFn, c: float) -> GridFn:
         on_axes=lambda axes: c * fn.on_axes(axes),
         axis_profiles=profiles,
         key=None if fn.key is None else ("scale", fn.key, float(c)),
+        convex=fn.convex and c > 0,
     )
+
+
+def tilt(tensor: np.ndarray, y, axes: Sequence[np.ndarray], sign: float = 1.0) -> np.ndarray:
+    """Add ``sign * y_j * a_j`` along axis j of a product-grid tensor, for
+    every axis j, in place, and return the tensor.
+
+    The caller owns ``tensor``: pass an array it made (``-fn.on_axes(...)``,
+    ``fn.on_axes(...) + c``), never one that an evaluator returned. With
+    sign -1 the floats equal those of ``tensor - y_j * a_j``.
+    """
+    n = len(axes)
+    for j, a in enumerate(axes):
+        sl = [None] * n
+        sl[j] = slice(None)
+        tensor += (sign * y[j] * np.asarray(a))[tuple(sl)]
+    return tensor
 
 
 # ---------------------------------------------------------------------------
@@ -350,26 +373,47 @@ def value_bytes(a) -> bytes:
 
 
 _EXPAND_CAP = 600.0
+# coarse search step of `_sup_line`, and the half-width of its fine window
+_COARSE = 0.25
+_WINDOW = 2 * _COARSE
+
+
+def _finite(vals: np.ndarray) -> np.ndarray:
+    return np.where(np.isfinite(vals), vals, -np.inf)
 
 
 def _sup_line(objective: Callable[[np.ndarray], np.ndarray], cfg: NumericsConfig,
-              step: float, floor: Optional[float]) -> tuple[float, float, float, float]:
+              step: float, floor: Optional[float],
+              concave: bool = False) -> tuple[float, float, float, float]:
     """Maximize a 1-D objective over its decay box.
 
     Returns (value, argmax, lo, hi). The box is grown until the objective
     has dropped ``decay_budget`` below its running max on both ends; a
     floor pins the lower end (log-space degenerate directions approach
     their sup as t -> -inf, so the box stops at the configured floor).
+    The max is then taken on a fine power-of-two grid over the box.
+
+    A ``concave`` objective evaluates only the fine nodes within two coarse
+    steps of the coarse argmax, plus one node on each side. A concave
+    function peaks within one coarse step of its coarse argmax, so the
+    fine max lies inside that window and every node outside it is lower.
+    The window is a slice of the same fine grid, so the value, the argmax
+    node, the parabolic lift and the box are the same floats as on the
+    whole grid. If the window's max lands on an edge where the window cut
+    the grid, the whole grid is evaluated after all. Only objectives
+    <y, t> - fn(t) with ``fn`` convex by construction (`GridFn.convex`)
+    are passed as concave: a weight given only by an evaluator need not be
+    convex, and a non-concave objective can have a local max in the window
+    below its global one.
     """
     budget = cfg.decay_budget
     lo = floor if floor is not None else -2.0
     hi = 2.0
-    coarse = 0.25
     while True:
-        t = np.arange(lo, hi + coarse / 2, coarse)
-        psi = objective(t)
-        psi = np.where(np.isfinite(psi), psi, -np.inf)
-        m = psi.max()
+        t = np.arange(lo, hi + _COARSE / 2, _COARSE)
+        psi = _finite(objective(t))
+        peak = int(np.argmax(psi))
+        m = psi[peak]
         if not np.isfinite(m):
             raise DivergenceError("objective is -inf on the whole probe box")
         need_hi = psi[-1] > m - budget
@@ -393,11 +437,21 @@ def _sup_line(objective: Callable[[np.ndarray], np.ndarray], cfg: NumericsConfig
     # so refinement never loses a node and residuals shrink monotonically
     intervals = 1 << max(1, math.ceil(math.log2((hi_box - lo_box) / step)))
     fine = np.linspace(lo_box, hi_box, intervals + 1)
-    vals = objective(fine)
-    vals = np.where(np.isfinite(vals), vals, -np.inf)
+    a, b = 0, len(fine)
+    if concave:
+        h = (hi_box - lo_box) / intervals
+        a = max(math.floor((t[peak] - _WINDOW - lo_box) / h) - 1, 0)
+        b = min(math.ceil((t[peak] + _WINDOW - lo_box) / h) + 2, len(fine))
+    vals = _finite(objective(fine[a:b]))
     k = int(np.argmax(vals))
+    if (k == 0 and a > 0) or (k == len(vals) - 1 and b < len(fine)):
+        a, b = 0, len(fine)
+        vals = _finite(objective(fine))
+        k = int(np.argmax(vals))
+    # past the fallback, k is interior to vals exactly when a + k is
+    # interior to the fine grid
     value = float(vals[k])
-    if 0 < k < len(fine) - 1 and np.isfinite(vals[k - 1]) and np.isfinite(vals[k + 1]):
+    if 0 < k < len(vals) - 1 and np.isfinite(vals[k - 1]) and np.isfinite(vals[k + 1]):
         # parabolic peak lift through the bracketing triple; the vertex is
         # always within half a step of the argmax node, and the lift removes
         # the alignment-quantized part of the node-max error
@@ -405,7 +459,7 @@ def _sup_line(objective: Callable[[np.ndarray], np.ndarray], cfg: NumericsConfig
         den = float(vals[k + 1] - 2.0 * vals[k] + vals[k - 1])
         if den < 0.0:
             value += num * num / (-8.0 * den)
-    return value, float(fine[k]), lo_box, hi_box
+    return value, float(fine[a + k]), lo_box, hi_box
 
 
 def _coordinate_argmax(fn: GridFn, y: np.ndarray, cfg: NumericsConfig,
@@ -518,7 +572,7 @@ def _truncated_sup(fn: GridFn, y: np.ndarray, cfg: NumericsConfig,
         curv = np.empty(fn.n)
         for j, prof in enumerate(fn.axis_profiles):
             val, tj, lo_j, hi_j = _sup_line(
-                lambda t, p=prof, yj=y[j]: yj * t - p(t), cfg, step, floor
+                lambda t, p=prof, yj=y[j]: yj * t - p(t), cfg, step, floor, fn.convex
             )
             total += val
             arg[j] = tj
@@ -534,7 +588,7 @@ def _truncated_sup(fn: GridFn, y: np.ndarray, cfg: NumericsConfig,
     if fn.n == 1:
         step = cfg.step_for(1, separable=False)
         val, tj, lo_j, hi_j = _sup_line(
-            lambda t: y[0] * t - fn.at(t[:, None]), cfg, step, floor
+            lambda t: y[0] * t - fn.at(t[:, None]), cfg, step, floor, fn.convex
         )
         arg = np.array([tj])
         return SupResult(val, arg, np.array([lo_j]), np.array([hi_j]),
@@ -551,13 +605,7 @@ def _truncated_sup(fn: GridFn, y: np.ndarray, cfg: NumericsConfig,
         total_nodes *= intervals + 1
     if total_nodes > 6e7:
         raise ValueError("probe box too large; coarsen the conjugation step")
-    tensor = fn.on_axes(axes)
-    psi = -tensor
-    for j, a in enumerate(axes):
-        sl = [None] * fn.n
-        sl[j] = slice(None)
-        psi = psi + (y[j] * a)[tuple(sl)]
-    psi = np.where(np.isfinite(psi), psi, -np.inf)
+    psi = _finite(tilt(-fn.on_axes(axes), y, axes))
     flat = int(np.argmax(psi))
     idx = np.unravel_index(flat, psi.shape)
     arg = np.array([axes[j][idx[j]] for j in range(fn.n)])
@@ -605,7 +653,7 @@ class _NumericDual:
         if not r_max <= self._axis_reach:
             extent = self._primal_extent(r_max)
             if self._axis_samples is None or self._axis_samples[0][-1] < extent - 1e-12:
-                step = self.cfg.conj_step_1d
+                step = self.cfg.step_for(1, separable=True)
                 nodes = np.linspace(0.0, extent, int(math.ceil(extent / step)) + 1)
                 vals = self.w.axis_profile()(nodes)
                 self._axis_samples = (nodes, vals, Hull(nodes, vals))
@@ -660,7 +708,7 @@ class _NumericDual:
             for j, a in enumerate(axes):
                 sl = [None] * n
                 sl[j] = slice(None)
-                total = total + hull.conjugate(a)[tuple(sl)]
+                total += hull.conjugate(a)[tuple(sl)]
             return total
         p_axes, t = self._nd_table(r_max)
         for j, a in enumerate(axes):
@@ -682,6 +730,7 @@ def numeric_dual_weight(w: WeightFunction, cfg: NumericsConfig = DEFAULT) -> Wei
         grid_eval=nd.eval_on_axes,
         # the conjugate of a sum of per-axis profiles is the per-axis conjugate sum
         separable_profile=nd.profile if w.is_separable else None,
+        is_conjugate=True,
     )
 
 
@@ -697,6 +746,7 @@ def dual_weight(w: WeightFunction, cfg: NumericsConfig = DEFAULT) -> WeightFunct
             label=w.label + "*",
             conjugate_closed_form=w.eval,
             terms=None,
+            is_conjugate=True,
         )
     return numeric_dual_weight(w, cfg)
 
@@ -826,13 +876,7 @@ def divergence_profile(u: WeightFunction, directions, radii,
             sups.append(total)
         else:
             axes = [np.linspace(-r, r, 201)] * u.n
-            tensor = fn.on_axes(axes)
-            psi = -tensor
-            for j, a in enumerate(axes):
-                sl = [None] * u.n
-                sl[j] = slice(None)
-                psi = psi + (witness[j] * a)[tuple(sl)]
-            sups.append(float(psi.max()))
+            sups.append(float(tilt(-fn.on_axes(axes), witness, axes).max()))
     return DivergenceProfile(
         rows=tuple(rows),
         witness_x=tuple(witness),

@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT, NumericsConfig
-from .fenchel import DivergenceError, GridFn, SupResult, memoized, truncated_sup, value_bytes
+from .fenchel import (DivergenceError, GridFn, SupResult, memoized, tilt, truncated_sup,
+                      value_bytes)
 
 
 @dataclass(frozen=True)
@@ -72,11 +73,7 @@ def _bounding_box(spec: SublevelSpec, probe_per_axis: int = 17) -> tuple[np.ndar
                 axes.append(np.array([edge]))
             else:
                 axes.append(np.linspace(lo[j], hi[j], probe_per_axis))
-        gap = spec.h.on_axes(axes) + spec.hstar_y
-        for j, a in enumerate(axes):
-            sl = [None] * n
-            sl[j] = slice(None)
-            gap = gap - (spec.y[j] * a)[tuple(sl)]
+        gap = tilt(spec.h.on_axes(axes) + spec.hstar_y, spec.y, axes, -1.0)
         return bool(np.any(gap <= spec.p))
 
     for _ in range(_MAX_EXPANSIONS):
@@ -97,11 +94,7 @@ def _bounding_box(spec: SublevelSpec, probe_per_axis: int = 17) -> tuple[np.ndar
 
 
 def _membership(spec: SublevelSpec, axes: Sequence[np.ndarray]) -> np.ndarray:
-    gap = spec.h.on_axes(list(axes)) + spec.hstar_y
-    for j, a in enumerate(axes):
-        sl = [None] * spec.h.n
-        sl[j] = slice(None)
-        gap = gap - (spec.y[j] * np.asarray(a))[tuple(sl)]
+    gap = tilt(spec.h.on_axes(list(axes)) + spec.hstar_y, spec.y, axes, -1.0)
     return gap <= spec.p
 
 
@@ -239,13 +232,10 @@ def _laplace_integral(h: GridFn, y: np.ndarray, cfg: NumericsConfig,
         steps.append(box_len / (count - 1))
     if total_nodes > 5e7:
         raise ValueError("integration grid too large for this dimension")
-    psi = -h.on_axes(axes)
-    for j, a in enumerate(axes):
-        sl = [None] * n
-        sl[j] = slice(None)
-        psi = psi + (y[j] * a)[tuple(sl)]
+    psi = tilt(-h.on_axes(axes), y, axes)
     peak = float(psi.max())
-    scaled = np.exp(psi - peak)
+    psi -= peak
+    scaled = np.exp(psi, out=psi)
 
     def contract(tensor: np.ndarray, stride: int) -> float:
         t = tensor[tuple(slice(None, None, stride) for _ in range(n))].copy()
@@ -253,7 +243,7 @@ def _laplace_integral(h: GridFn, y: np.ndarray, cfg: NumericsConfig,
             w = _simpson_weights(len(weights[j][::stride]))
             sl = [None] * n
             sl[j] = slice(None)
-            t = t * w[tuple(sl)]
+            t *= w[tuple(sl)]
         raw = float(t.sum())
         scale = 1.0
         for j in range(n):

@@ -64,7 +64,7 @@ def _terms_on_axes(terms: Sequence[PowerTerm], axes: Sequence[np.ndarray]) -> np
             for j, a in enumerate(axes):
                 sl = [None] * n
                 sl[j] = slice(None)
-                r2 = r2 + (np.asarray(a) ** 2)[tuple(sl)]
+                r2 += (np.asarray(a) ** 2)[tuple(sl)]
             total += term.coef * r2 ** (term.p / 2.0) / term.p
     return total
 
@@ -93,6 +93,7 @@ class WeightFunction:
     detection and structural duals; custom test doubles leave it None.
     ``grid_eval`` and ``separable_profile`` let numerically-defined weights
     (discrete conjugates) plug into the product-grid fast paths.
+    ``is_conjugate`` marks a weight built as the conjugate of another one.
     """
 
     n: int
@@ -102,6 +103,15 @@ class WeightFunction:
     terms: Optional[tuple[PowerTerm, ...]] = None
     grid_eval: Optional[Callable[[Sequence[np.ndarray]], np.ndarray]] = None
     separable_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    is_conjugate: bool = False
+
+    @property
+    def convex_by_construction(self) -> bool:
+        """True when convexity (and monotonicity on [0, inf)^n) follows from
+        how the weight was built: a positive sum of power terms, or a
+        conjugate, which is a sup of affine functions and even. Weights
+        given only by an evaluator are never assumed convex."""
+        return self.terms is not None or self.is_conjugate
 
     def symmetrized(self, x: np.ndarray) -> np.ndarray:
         """g(x) = eval(|x_1|, ..., |x_n|), even in each coordinate exactly."""

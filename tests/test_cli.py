@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +73,17 @@ def test_identities_nonconvex_expected_fail(tmp_path, nonconvex_double):
     assert checks["prop3"]
     assert not checks["prop6_7"]
     assert not result.passed
+
+
+def test_refine_refines_a_numeric_dual(tmp_path):
+    # sep1 has no closed-form dual; its numeric dual samples at the refined step
+    sep1 = Path(__file__).resolve().parents[1] / "fdbench" / "weights" / "sep1.json"
+    nodes, _, _ = fenchel._NumericDual(fd.weight_from_json(sep1),
+                                       fd.DEFAULT.refined())._axis_table(2.0)
+    assert nodes[1] - nodes[0] <= fd.DEFAULT.conj_step_1d / 2
+    assert run_cli(["identities", "--weight", str(sep1), "--refine",
+                    "--out", str(tmp_path)]) == 0
+    assert "refine_shrink,true" in (tmp_path / "identities_checks.csv").read_text()
 
 
 def test_moments_and_duality_pass(tmp_path):

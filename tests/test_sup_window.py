@@ -1,0 +1,147 @@
+"""The fine pass of `_sup_line` evaluates only a window around the coarse
+argmax for objectives concave by construction; these tests pin that it
+gives the same floats as the whole fine grid, how many nodes it evaluates,
+that weights not known to be convex keep the whole grid, and the fallback."""
+
+import dataclasses
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import fockdual as fd
+from fockdual import cli, fenchel
+from fockdual.fenchel import _sup_line, log_image, scale_fn, symmetrized_fn, truncated_sup
+
+SEP1_WEIGHT = Path(__file__).resolve().parents[1] / "fdbench" / "weights" / "sep1.json"
+CFG = fd.DEFAULT
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty memo for this test, so every sup is computed here."""
+    store = {}
+    monkeypatch.setattr(fenchel, "_MEMO", store)
+    return store
+
+
+def _bits(*values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def _sup_bits(res) -> bytes:
+    return b"".join(np.asarray(a, dtype=np.float64).tobytes()
+                    for a in (res.value, res.argmax, res.lo, res.hi, res.curvature))
+
+
+def _weights():
+    sep1 = fd.weight_from_json(SEP1_WEIGHT)
+    return [fd.make_fock(1), fd.make_separable_power(1, 4.0), sep1,
+            fd.numeric_dual_weight(sep1)]
+
+
+@pytest.mark.parametrize("w", _weights(), ids=lambda w: w.label)
+def test_window_equals_whole_grid_bitwise(memo, w):
+    checked = 0
+    for make in (log_image, symmetrized_fn):
+        fn = make(w)
+        assert fn.convex
+        whole = dataclasses.replace(fn, convex=False, key=None)
+        for floor in (None, CFG.t_floor):
+            for y in (0.0, 1.37, 6.0):
+                if make is log_image and floor is None and y == 0.0:
+                    # sup approached only as t -> -inf: no floor, no box
+                    with pytest.raises(fenchel.DivergenceError):
+                        truncated_sup(fn, [y], CFG, floor)
+                    continue
+                # the first call grows a numeric dual's table; the two
+                # compared calls then see the same table
+                truncated_sup(whole, [y], CFG, floor)
+                windowed = truncated_sup(fn, [y], CFG, floor)
+                assert _sup_bits(windowed) == _sup_bits(truncated_sup(whole, [y], CFG, floor))
+                checked += 1
+    assert checked == 11
+
+
+def test_window_evaluates_few_fine_nodes():
+    prof = log_image(fd.make_fock(1)).axis_profiles[0]
+    step = CFG.conj_step_1d
+    for y, floor in ((1.37, CFG.t_floor), (0.0, CFG.t_floor), (3.8, None)):
+        sizes = []
+
+        def counting(t, y=y):
+            sizes.append(t.size)
+            return y * t - prof(t)
+
+        _, _, lo, hi = _sup_line(counting, CFG, step, floor, concave=True)
+        intervals = 1 << max(1, math.ceil(math.log2((hi - lo) / step)))
+        fine_step = (hi - lo) / intervals
+        # the last call is the fine pass: two coarse steps either side
+        assert sizes[-1] <= 4 * 0.25 / fine_step + 8
+        assert sizes[-1] < (intervals + 1) / 10
+
+
+def test_nonconvex_weight_keeps_the_whole_grid(nonconvex_double):
+    fn = log_image(nonconvex_double)
+    assert not fn.convex
+    prof = fn.axis_profiles[0]
+    step = CFG.step_for(1, separable=True)
+
+    def objective(t):
+        return 2.5 * t - prof(t)
+
+    whole = _sup_line(objective, CFG, step, CFG.t_floor, concave=False)
+    windowed = _sup_line(objective, CFG, step, CFG.t_floor, concave=True)
+    # the window would stop at a local max far below the global one
+    assert windowed[0] < whole[0] - 1e-3
+    assert abs(windowed[1] - whole[1]) > 0.5
+    assert fd.log_conj(nonconvex_double, [2.5]) == whole[0]
+
+
+def test_window_max_on_a_cut_edge_falls_back_to_the_whole_grid():
+    # declared concave but not: coarse nodes (multiples of 0.25) read 0 at
+    # t = 0 and -1 elsewhere, while every other node reads t, so the max
+    # lies near t = 2, far outside the window around the coarse argmax 0
+    def objective(t):
+        on_coarse = (t * 4.0) % 1.0 == 0.0
+        coarse_vals = np.where(t == 0.0, 0.0, np.where((t >= -1.5) & (t <= 2.0), -1.0, -100.0))
+        fine_vals = np.where((t > -1.5) & (t < 2.0), t, -100.0)
+        return np.where(on_coarse, coarse_vals, fine_vals)
+
+    oracle = _sup_line(objective, CFG, CFG.conj_step_1d, None, concave=False)
+    assert oracle[1] > 1.9
+    got = _sup_line(objective, CFG, CFG.conj_step_1d, None, concave=True)
+    assert _bits(*got) == _bits(*oracle)
+
+
+def test_convexity_follows_the_construction(nonsmooth_convex):
+    sep1 = fd.weight_from_json(SEP1_WEIGHT)
+    closed = fd.WeightFunction(n=1, eval=lambda x: np.abs(x[..., 0]) ** 2 / 2,
+                               label="custom",
+                               conjugate_closed_form=lambda y: np.abs(y[..., 0]) ** 2 / 2)
+    convex = [sep1, fd.dual_weight(fd.make_fock(2)), fd.numeric_dual_weight(sep1),
+              fd.dual_weight(closed)]
+    for w in convex:
+        assert w.convex_by_construction
+        assert symmetrized_fn(w).convex and log_image(w).convex
+    # an evaluator alone proves nothing, convex or not
+    for w in (closed, nonsmooth_convex):
+        assert not w.convex_by_construction
+        assert not symmetrized_fn(w).convex and not log_image(w).convex
+    fn = log_image(sep1)
+    assert scale_fn(fn, 2.0).convex
+    assert not scale_fn(fn, -1.0).convex and not scale_fn(fn, 0.0).convex
+
+
+@pytest.mark.parametrize("w", [fd.weight_from_json(SEP1_WEIGHT),
+                               fd.make_separable_power(2, 4.0)],
+                         ids=lambda w: w.label)
+def test_axis_weight_keeps_the_terms_and_the_floats(memo, w):
+    wa = cli._axis_weight(w)
+    assert wa.terms == w.terms
+    assert log_image(wa).convex
+    prof = w.axis_profile()
+    bare = fd.WeightFunction(n=1, eval=lambda x: prof(x[..., 0]), label="bare")
+    for v in (0.0, 0.731, 2.41, 4.0):
+        assert fd.log_conj(wa, [v]) == fd.log_conj(bare, [v])
