@@ -243,7 +243,7 @@ def isomorphism_bound_check(b: CoefficientSequence, table_phi: MomentTable,
     c_inv = K * math.e**2 * (2.0 * math.e * math.pi) ** n
     g = inverse_map(d, table_phi)
     lhs2 = norm_sq(g, table_phi)
-    rhs2 = c_inv * norm_sq(d, table_phi_star)
+    rhs2 = c_inv * lhs1  # ||G||^2 in the dual weight's norm
     report2 = BoundReport(
         lhs=lhs2, rhs=rhs2, constant_used=c_inv, ok=lhs2 <= rhs2 * (1.0 + _BOUND_TOL)
     )

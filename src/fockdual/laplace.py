@@ -73,8 +73,7 @@ def _bounding_box(spec: SublevelSpec, probe_per_axis: int = 17) -> tuple[np.ndar
                 axes.append(np.array([edge]))
             else:
                 axes.append(np.linspace(lo[j], hi[j], probe_per_axis))
-        gap = tilt(spec.h.on_axes(axes) + spec.hstar_y, spec.y, axes, -1.0)
-        return bool(np.any(gap <= spec.p))
+        return bool(np.any(_membership(spec, axes)))
 
     for _ in range(_MAX_EXPANSIONS):
         grew = False
@@ -93,9 +92,47 @@ def _bounding_box(spec: SublevelSpec, probe_per_axis: int = 17) -> tuple[np.ndar
     )
 
 
+def _gap(spec: SublevelSpec, axes: Sequence[np.ndarray]) -> np.ndarray:
+    return tilt(spec.h.on_axes(list(axes)) + spec.hstar_y, spec.y, axes, -1.0)
+
+
 def _membership(spec: SublevelSpec, axes: Sequence[np.ndarray]) -> np.ndarray:
-    gap = tilt(spec.h.on_axes(list(axes)) + spec.hstar_y, spec.y, axes, -1.0)
-    return gap <= spec.p
+    return _gap(spec, axes) <= spec.p
+
+
+# stride of the coarse pass that places the window of a volume grid
+_VOLUME_STRIDE = 8
+
+
+def _volume_window(spec: SublevelSpec,
+                   axes: Sequence[np.ndarray]) -> Optional[tuple[slice, ...]]:
+    """Index slices of a window of the cell grid that holds every member,
+    or None when the window cannot be certified (see `sublevel_volume`)."""
+    k = _VOLUME_STRIDE
+    n = len(axes)
+    coarse = _membership(spec, [a[k // 2::k] for a in axes])
+    if not coarse.any():
+        return None
+    window = []
+    for j, a in enumerate(axes):
+        hit = np.flatnonzero(coarse.any(axis=tuple(i for i in range(n) if i != j)))
+        lo = max(k // 2 + k * int(hit[0]) - k - 1, 0)
+        hi = min(k // 2 + k * int(hit[-1]) + k + 2, len(a))
+        # each face where the window cut the grid, as a two-cell slab of the
+        # face and its neighbour inside: (first index, position of the face)
+        faces = [(lo, 0)] if lo > 0 else []
+        if hi < len(a):
+            faces.append((hi - 2, 1))
+        for first, face in faces:
+            slab = list(axes)
+            slab[j] = a[first:first + 2]
+            gap = _gap(spec, slab)
+            at_face = np.take(gap, face, axis=j)
+            if not (np.all(at_face > spec.p)
+                    and np.all(at_face >= np.take(gap, 1 - face, axis=j))):
+                return None
+        window.append(slice(lo, hi))
+    return tuple(window)
 
 
 def sublevel_volume(spec: SublevelSpec, method: str = "grid",
@@ -108,7 +145,24 @@ def sublevel_volume(spec: SublevelSpec, method: str = "grid",
     adjacent to a membership flip). Monte-Carlo reports a 99% Wilson
     interval scaled by the bounding-box volume. Computed once per process
     for each keyed ``spec.h`` and each set of remaining inputs.
+
+    When ``spec.h`` is convex by construction (`GridFn.convex`), the grid
+    method evaluates the predicate only on a window of cells: a coarse pass
+    over every 8th cell centre finds the members' index range on each axis,
+    widened by one coarse step plus one cell. The gap g(x) = h(x) + h*(y) -
+    <x, y> is convex along every grid line, so on a line that leaves
+    the window through a face where g > p and g does not fall from the
+    cell inside to the face cell, g stays above p beyond the face. Each
+    face where the window cut the grid is checked this way on the whole
+    slab across the grid; then no member and no membership flip lies
+    outside the window, and the count and the surface are the whole-grid
+    integers. The window slices the very axes of the whole grid, so every
+    cell has the same float. If the coarse pass finds no member or a face
+    fails its check, or ``spec.h`` is not known to be convex (a weight
+    given only by an evaluator), the whole grid is evaluated.
     """
+    if resolution is not None and resolution < 1:
+        raise ValueError(f"volume resolution must be at least 1, got {resolution}")
     inputs = ("volume", value_bytes(spec.y), spec.p, spec.hstar_y,
               value_bytes(spec.argmax), method, resolution, cfg, seed)
     return memoized(spec.h.key, inputs,
@@ -130,6 +184,9 @@ def _sublevel_volume(spec: SublevelSpec, method: str, resolution: Optional[int],
         for j in range(n):
             step = (hi[j] - lo[j]) / cells
             axes.append(lo[j] + step * (np.arange(cells) + 0.5))
+        window = _volume_window(spec, axes) if spec.h.convex else None
+        if window is not None:
+            axes = [a[w] for a, w in zip(axes, window)]
         member = _membership(spec, axes)
         cell_vol = box_vol / cells**n
         count = int(member.sum())
@@ -146,7 +203,7 @@ def _sublevel_volume(spec: SublevelSpec, method: str, resolution: Optional[int],
             value=count * cell_vol,
             half_width=float(surface.sum()) * cell_vol,
             method="grid",
-            samples=member.size,
+            samples=cells**n,
         )
     if method == "monte-carlo":
         samples = resolution if resolution is not None else cfg.mc_samples

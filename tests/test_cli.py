@@ -53,6 +53,15 @@ def test_sublinear_weight_exits_2(tmp_path):
                     "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("cells", ["0", "-4"])
+def test_nonpositive_volume_cells_is_a_usage_error(tmp_path, capsys, cells):
+    assert run_cli(["sandwich", "--weight-preset", "fock:1", "--volume-cells", cells,
+                    "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "--volume-cells must be a positive cell count" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_identities_and_sandwich_pass(tmp_path):
     assert run_cli(["identities", "--weight-preset", "fock:1", "--refine",
                     "--out", str(tmp_path)]) == 0
