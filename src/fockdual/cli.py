@@ -495,10 +495,11 @@ def cmd_duality(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> Suite
     eq1_worst = 0.0
     for seq_id in range(100):
         b = duality.random_sequence(w.n, run.max_degree, rng)
-        r1, r2 = duality.isomorphism_bound_check(b, table, table_star, krep.K_hat)
+        d = duality.forward_map(b, table)
+        r1, r2 = duality.isomorphism_bound_check(b, table, table_star, krep.K_hat, d=d)
         forward_ok = forward_ok and r1.ok
         inverse_ok = inverse_ok and r2.ok
-        ulp_worst = max(ulp_worst, duality.roundtrip_ulp_error(b, table))
+        ulp_worst = max(ulp_worst, duality.roundtrip_ulp_error(b, table, d=d))
         direct = duality._pairwise_desc_sum(
             math.exp(2.0 * (table.ln(a) + math.log(abs(v)) - a.log_factorial())
                      + table_star.ln(a))

@@ -42,9 +42,12 @@ class CoefficientSequence:
                 raise ValueError(
                     f"index {alpha.components} exceeds truncation degree"
                 )
+        # index order, established once: items() is read per coefficient map
+        object.__setattr__(self, "coeffs", dict(sorted(self.coeffs.items())))
 
     def items(self) -> list[tuple[MultiIndex, complex]]:
-        return sorted(self.coeffs.items())
+        """The (index, coefficient) pairs in index order."""
+        return list(self.coeffs.items())
 
     def get(self, alpha: MultiIndex) -> complex:
         return self.coeffs.get(alpha, 0j)
@@ -225,16 +228,19 @@ _BOUND_TOL = 1e-9
 
 
 def isomorphism_bound_check(b: CoefficientSequence, table_phi: MomentTable,
-                            table_phi_star: MomentTable,
-                            K: float) -> tuple[BoundReport, BoundReport]:
+                            table_phi_star: MomentTable, K: float,
+                            d: Optional[CoefficientSequence] = None,
+                            ) -> tuple[BoundReport, BoundReport]:
     """Operator bounds for the transform pair at a certified constant K.
 
     Forward: ||forward(b)||^2 (dual weight) <= (2 pi)^n (1 + n!)^2 K ||b||^2.
     Inverse: for G = forward(b), ||inverse(G)||^2 <= K e^2 (2 e pi)^n ||G||^2.
+    ``d`` is forward(b) when the caller already has it.
     """
     n = b.n
     m1 = (2.0 * math.pi) ** n * (1.0 + math.factorial(n)) ** 2 * K
-    d = forward_map(b, table_phi)
+    if d is None:
+        d = forward_map(b, table_phi)
     lhs1 = norm_sq(d, table_phi_star)
     rhs1 = m1 * norm_sq(b, table_phi)
     report1 = BoundReport(
@@ -250,9 +256,13 @@ def isomorphism_bound_check(b: CoefficientSequence, table_phi: MomentTable,
     return report1, report2
 
 
-def roundtrip_ulp_error(b: CoefficientSequence, table_phi: MomentTable) -> float:
-    """Max per-component ulp distance of inverse(forward(b)) from b."""
-    back = inverse_map(forward_map(b, table_phi), table_phi)
+def roundtrip_ulp_error(b: CoefficientSequence, table_phi: MomentTable,
+                        d: Optional[CoefficientSequence] = None) -> float:
+    """Max per-component ulp distance of inverse(forward(b)) from b; ``d``
+    is forward(b) when the caller already has it."""
+    if d is None:
+        d = forward_map(b, table_phi)
+    back = inverse_map(d, table_phi)
     worst = 0.0
     for alpha, val in b.items():
         rec = back.get(alpha)

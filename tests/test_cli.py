@@ -107,6 +107,22 @@ def test_moments_and_duality_pass(tmp_path):
     assert len(kscan) == 7
 
 
+def test_fock4_moments_exit_0(tmp_path):
+    # separable Laplace integrals factor over the axes, so no 4-D tensor grid
+    assert run_cli(["moments", "--weight-preset", "fock:4", "--degree", "1",
+                    "--out", str(tmp_path)]) == 0
+
+
+def test_duality_maps_each_sequence_forward_once(tmp_path, monkeypatch):
+    calls = []
+    forward = fd.duality.forward_map
+    monkeypatch.setattr(fd.duality, "forward_map",
+                        lambda b, table: calls.append(b) or forward(b, table))
+    assert run_cli(["duality", "--weight-preset", "fock:1", "--degree", "2",
+                    "--out", str(tmp_path)]) == 0
+    assert len(calls) == 100 and len({id(b) for b in calls}) == 100
+
+
 def test_json_format(tmp_path):
     assert run_cli(["sandwich", "--weight-preset", "fock:1", "--format", "json",
                     "--out", str(tmp_path)]) == 0

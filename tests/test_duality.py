@@ -39,6 +39,16 @@ def test_sequence_validation():
         seq(2, 3, {(1,): 1.0})
 
 
+def test_sequence_items_in_index_order():
+    b = seq(2, 3, {(1, 2): 3.0, (0, 0): 1.0, (1, 0): 2.0})
+    items = b.items()
+    assert [a.components for a, _ in items] == [(0, 0), (1, 0), (1, 2)]
+    assert [v for _, v in items] == [1.0, 2.0, 3.0]
+    items.clear()  # a fresh list: the sequence keeps its order
+    assert len(b.items()) == 3
+    assert b == seq(2, 3, {(0, 0): 1.0, (1, 0): 2.0, (1, 2): 3.0})
+
+
 def test_sequence_json_roundtrip(tmp_path):
     b = seq(2, 3, {(0, 0): 1 + 2j, (1, 2): -0.5j})
     path = tmp_path / "seq.json"
