@@ -26,20 +26,16 @@ from .fenchel import (
     GridFn,
     IdentityReport,
     SampledFunction,
-    conjugate_1d,
-    conjugate_bruteforce,
     conjugate_nd,
     divergence_profile,
     dual_log_conj,
     dual_weight,
     log_conj,
     log_image,
-    log_substitute,
     numeric_dual_weight,
     symmetrized_fn,
     truncated_sup,
-    verify_prop3,
-    verify_prop6_7,
+    verify_identities,
 )
 from .laplace import (
     IntegralEstimate,

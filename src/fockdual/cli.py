@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -130,20 +131,8 @@ def _emit_checks(result: SuiteResult, out_dir: Path, fmt: str) -> None:
 
 
 def _probe_points(n: int) -> list:
-    if n == 1:
-        return [[v] for v in _PROBES_1D]
-    axis = _PROBES_AXIS_2D if n == 2 else _PROBES_AXIS_3D
-    pts = []
-
-    def rec(prefix):
-        if len(prefix) == n:
-            pts.append(list(prefix))
-            return
-        for v in axis:
-            rec(prefix + [v])
-
-    rec([])
-    return pts
+    axis = _PROBES_1D if n == 1 else _PROBES_AXIS_2D if n == 2 else _PROBES_AXIS_3D
+    return [list(p) for p in itertools.product(axis, repeat=n)]
 
 
 def _axis_weight(w: WeightFunction) -> WeightFunction:
@@ -201,11 +190,8 @@ def cmd_conjugate(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> Sui
     if w.is_separable:
         wa = _axis_weight(w)
         axis_vals = np.array([fenchel.log_conj(wa, [v], cfg) for v in axis])
-        log_tensor = np.zeros((nodes_per_axis,) * w.n)
-        for j in range(w.n):
-            sl = [None] * w.n
-            sl[j] = slice(None)
-            log_tensor += axis_vals[tuple(sl)]
+        log_tensor = weights.add_on_axes(np.zeros((nodes_per_axis,) * w.n),
+                                         [axis_vals] * w.n)
     else:
         log_tensor = np.array(
             [fenchel.log_conj(w, c, cfg) for c in coords]
@@ -277,7 +263,7 @@ def cmd_identities(w: WeightFunction, cfg: NumericsConfig, run: RunConfig,
 
     # prop3 and prop6_7 are two verdicts on one report: the one-sided one
     # reads its positive residuals, the two-sided one its absolute ones
-    rep3 = fenchel.verify_prop3(w, probes, cfg)
+    rep3 = fenchel.verify_identities(w, probes, cfg)
     result.add(
         "prop3", rep3.max_positive_residual <= tol,
         f"max_positive_residual={rep3.max_positive_residual!r}",
@@ -290,7 +276,7 @@ def cmd_identities(w: WeightFunction, cfg: NumericsConfig, run: RunConfig,
         rep67 = rep3
         if not rep67.max_abs_residual <= tol:
             # one grid refinement before declaring failure
-            rep67 = fenchel.verify_prop6_7(w, probes, cfg.refined())
+            rep67 = fenchel.verify_identities(w, probes, cfg.refined())
         ok = rep67.max_abs_residual <= tol
         result.add(
             "prop6_7", ok, f"max_abs_residual={rep67.max_abs_residual!r}",
@@ -299,7 +285,7 @@ def cmd_identities(w: WeightFunction, cfg: NumericsConfig, run: RunConfig,
             rows.append(("prop6_7",) + pt + (lhs, rhs, lhs - rhs))
         if run.refine:
             # the refined report, unless the retry above has made it already
-            fine = rep67 if rep67 is not rep3 else fenchel.verify_prop6_7(
+            fine = rep67 if rep67 is not rep3 else fenchel.verify_identities(
                 w, probes, cfg.refined())
             base = rep67.max_abs_residual
             shrink = base / fine.max_abs_residual if fine.max_abs_residual > 0 else math.inf
@@ -345,20 +331,9 @@ def cmd_identities(w: WeightFunction, cfg: NumericsConfig, run: RunConfig,
 
 
 def _sandwich_grid(n: int) -> list:
-    if n == 1:
-        return [[v] for v in np.linspace(-2.0, 2.0, 9)]
-    axis = [-1.5, 0.0, 1.5] if n == 2 else [-1.0, 0.0, 1.0]
-    pts = []
-
-    def rec(prefix):
-        if len(prefix) == n:
-            pts.append(list(prefix))
-            return
-        for v in axis:
-            rec(prefix + [v])
-
-    rec([])
-    return pts
+    axis = (np.linspace(-2.0, 2.0, 9) if n == 1
+            else [-1.5, 0.0, 1.5] if n == 2 else [-1.0, 0.0, 1.0])
+    return [list(p) for p in itertools.product(axis, repeat=n)]
 
 
 def cmd_sandwich(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> SuiteResult:

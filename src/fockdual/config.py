@@ -33,7 +33,6 @@ class NumericsConfig:
     quad_max_nodes_2d: int = 1537
     quad_max_nodes_3d: int = 161
     quad_peak_nodes: int = 16           # target nodes per peak standard deviation
-    tol_convexity: float = 1e-9
     tol_identity: float = 1e-3
     refine_shrink: float = 1.8
 

@@ -2,15 +2,16 @@
 
 Two conjugation surfaces live here:
 
-* grid-to-grid transforms (`conjugate_1d`, `conjugate_nd`) built on the
-  lower-hull kernel of `_scan`, used for dual tables and biconjugation;
+* one grid-to-grid engine, `conjugate_values` (iterated per-axis scans on
+  the lower-hull kernel of `_scan`), behind `conjugate_nd` and the numeric
+  dual, used for dual tables and biconjugation;
 * per-point truncated sups (`truncated_sup`, `log_conj`, `dual_log_conj`)
-  over decay-budget boxes, used by the identity verifiers and by the
-  Laplace/moment modules.
+  over decay-budget boxes, used by the identity verifier
+  (`verify_identities`) and by the Laplace/moment modules.
 
 The grid transforms compute the exact max over sample nodes (lower
 conjugate), which keeps the Fenchel-Young inequality exact at nodes and
-gives the brute-force oracle a well-defined target. The per-point sups
+gives the tests' brute-force oracle a well-defined target. The per-point sups
 additionally lift the argmax node through a parabolic fit so their error
 is smooth in the grid step instead of alignment-quantized.
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from ._scan import Hull, conjugate_lines
 from .config import DEFAULT, NumericsConfig
-from .weights import WeightFunction
+from .weights import WeightFunction, add_on_axes
 
 
 class DivergenceError(RuntimeError):
@@ -65,11 +66,8 @@ class SampledFunction:
 
     axes: tuple[GridAxis, ...]
     values: np.ndarray
-    domain_tag: str = "linear-scale"
 
     def __post_init__(self):
-        if self.domain_tag not in ("linear-scale", "log-substituted"):
-            raise ValueError(f"unknown domain tag {self.domain_tag!r}")
         shape = tuple(a.count for a in self.axes)
         if self.values.shape != shape:
             raise ValueError(f"values shape {self.values.shape} != grid shape {shape}")
@@ -79,37 +77,6 @@ class SampledFunction:
     @property
     def n(self) -> int:
         return len(self.axes)
-
-
-def interp(f: SampledFunction, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation at points of shape (..., n); error off-grid."""
-    pts = np.asarray(pts, dtype=np.float64)
-    if pts.shape[-1] != f.n:
-        raise ValueError("point dimension mismatch")
-    out_shape = pts.shape[:-1]
-    flat = pts.reshape(-1, f.n)
-    idx = []
-    frac = []
-    for j, ax in enumerate(f.axes):
-        rel = (flat[:, j] - ax.lo) / ax.step
-        if np.any(rel < -1e-9) or np.any(rel > ax.count - 1 + 1e-9):
-            raise ValueError("interpolation point outside sampled box")
-        i = np.clip(np.floor(rel).astype(np.intp), 0, ax.count - 2)
-        idx.append(i)
-        frac.append(rel - i)
-    vals = np.zeros(flat.shape[0])
-    for corner in range(1 << f.n):
-        weight = np.ones(flat.shape[0])
-        coord = []
-        for j in range(f.n):
-            if corner >> j & 1:
-                weight *= frac[j]
-                coord.append(idx[j] + 1)
-            else:
-                weight *= 1.0 - frac[j]
-                coord.append(idx[j])
-        vals += weight * f.values[tuple(coord)]
-    return vals.reshape(out_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +175,7 @@ def tilt(tensor: np.ndarray, y, axes: Sequence[np.ndarray], sign: float = 1.0) -
     ``fn.on_axes(...) + c``), never one that an evaluator returned. With
     sign -1 the floats equal those of ``tensor - y_j * a_j``.
     """
-    n = len(axes)
-    for j, a in enumerate(axes):
-        sl = [None] * n
-        sl[j] = slice(None)
-        tensor += (sign * y[j] * np.asarray(a))[tuple(sl)]
-    return tensor
+    return add_on_axes(tensor, [sign * y[j] * np.asarray(a) for j, a in enumerate(axes)])
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +225,6 @@ def _slope_range(f: SampledFunction) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-def conjugate_1d(f: SampledFunction, dual_grid: GridAxis) -> ConjugateResult:
-    """Conjugate of a 1-D sampling: dual value at x is max_i (x y_i - f_i)."""
-    if f.n != 1:
-        raise ValueError("conjugate_1d needs a one-dimensional sampling")
-    dual_nodes = dual_grid.nodes()
-    vals = conjugate_values([f.axes[0].nodes()], f.values, [dual_nodes])
-    dual = SampledFunction((dual_grid,), vals, "linear-scale")
-    return ConjugateResult(dual, _slope_range(f))
-
-
 def conjugate_nd(f: SampledFunction, dual_grid: Sequence[GridAxis]) -> ConjugateResult:
     """n-dimensional discrete conjugate by iterated per-axis scans."""
     dual_grid = tuple(dual_grid)
@@ -281,48 +233,8 @@ def conjugate_nd(f: SampledFunction, dual_grid: Sequence[GridAxis]) -> Conjugate
     vals = conjugate_values(
         [a.nodes() for a in f.axes], f.values, [g.nodes() for g in dual_grid]
     )
-    dual = SampledFunction(dual_grid, vals, "linear-scale")
+    dual = SampledFunction(dual_grid, vals)
     return ConjugateResult(dual, _slope_range(f))
-
-
-def conjugate_bruteforce(f: SampledFunction, dual_grid: Sequence[GridAxis],
-                         chunk: int = 4096) -> np.ndarray:
-    """Exhaustive-max oracle for the scan-based conjugates."""
-    dual_grid = tuple(dual_grid)
-    mesh = np.meshgrid(*[a.nodes() for a in f.axes], indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = f.values.ravel()
-    duals = np.stack(
-        [m.ravel() for m in np.meshgrid(*[g.nodes() for g in dual_grid], indexing="ij")],
-        axis=1,
-    )
-    out = np.empty(len(duals))
-    for start in range(0, len(duals), chunk):
-        block = duals[start:start + chunk]
-        out[start:start + chunk] = np.max(block @ nodes.T - vals, axis=1)
-    return out.reshape(tuple(g.count for g in dual_grid))
-
-
-# ---------------------------------------------------------------------------
-# log substitution of weights and samplings
-
-
-def log_substitute(u, box: Sequence[GridAxis]) -> SampledFunction:
-    """Sample t -> u(e^{t_1}, ..., e^{t_n}) on a box in t-space."""
-    box = tuple(box)
-    axes_nodes = [a.nodes() for a in box]
-    if isinstance(u, WeightFunction):
-        if len(box) != u.n:
-            raise ValueError("box dimension mismatch")
-        vals = log_image(u).on_axes(axes_nodes)
-    elif isinstance(u, SampledFunction):
-        if len(box) != u.n:
-            raise ValueError("box dimension mismatch")
-        mesh = np.meshgrid(*[np.exp(a) for a in axes_nodes], indexing="ij")
-        vals = interp(u, np.stack(mesh, axis=-1))
-    else:
-        raise TypeError("u must be a WeightFunction or SampledFunction")
-    return SampledFunction(box, vals, "log-substituted")
 
 
 # ---------------------------------------------------------------------------
@@ -703,19 +615,10 @@ class _NumericDual:
         r_max = max(float(a.max()) for a in axes)
         if self.w.is_separable:
             _, _, hull = self._axis_table(r_max)
-            n = self.n
-            total = np.zeros(tuple(len(a) for a in axes))
-            for j, a in enumerate(axes):
-                sl = [None] * n
-                sl[j] = slice(None)
-                total += hull.conjugate(a)[tuple(sl)]
-            return total
-        p_axes, t = self._nd_table(r_max)
-        for j, a in enumerate(axes):
-            if j > 0:
-                t = -t
-            t = _scan_axis(p_axes[j], t, a, j)
-        return t
+            return add_on_axes(np.zeros(tuple(len(a) for a in axes)),
+                               [hull.conjugate(a) for a in axes])
+        p_axes, vals = self._nd_table(r_max)
+        return conjugate_values(p_axes, vals, axes)
 
 
 def numeric_dual_weight(w: WeightFunction, cfg: NumericsConfig = DEFAULT) -> WeightFunction:
@@ -752,7 +655,7 @@ def dual_weight(w: WeightFunction, cfg: NumericsConfig = DEFAULT) -> WeightFunct
 
 
 # ---------------------------------------------------------------------------
-# the log-substituted conjugates and identity verifiers
+# the log-substituted conjugates and the identity verifier
 
 
 def _check_probe(x: np.ndarray, n: int) -> np.ndarray:
@@ -795,7 +698,17 @@ class IdentityReport:
     max_positive_residual: float
 
 
-def _identity_report(u: WeightFunction, points, cfg: NumericsConfig) -> IdentityReport:
+def verify_identities(u: WeightFunction, points,
+                      cfg: NumericsConfig = DEFAULT) -> IdentityReport:
+    """The sum of log-substituted conjugates against the entropy sum at each
+    probe: lhs = (u[e])^*(x) + (u^*[e])^*(x), rhs = sum_j x_j ln x_j - x_j.
+
+    One report carries both verdicts. ``max_positive_residual`` is the
+    one-sided check of Prop. 3: lhs never exceeds rhs, for any continuous
+    superlinear u. ``max_abs_residual`` is the two-sided check of
+    Props. 6-7: for convex symmetric monotone weights lhs equals rhs,
+    including boundary probes (some x_j = 0) and the origin.
+    """
     w_dual = dual_weight(u, cfg)
     pts = []
     lhs = []
@@ -814,19 +727,6 @@ def _identity_report(u: WeightFunction, points, cfg: NumericsConfig) -> Identity
         max_abs_residual=float(np.max(np.abs(resid))),
         max_positive_residual=float(max(np.max(resid), 0.0)),
     )
-
-
-def verify_prop3(u: WeightFunction, points, cfg: NumericsConfig = DEFAULT) -> IdentityReport:
-    """One-sided check: the sum of log-substituted conjugates never exceeds
-    the entropy sum (holds for any continuous superlinear u)."""
-    return _identity_report(u, points, cfg)
-
-
-def verify_prop6_7(u: WeightFunction, points, cfg: NumericsConfig = DEFAULT) -> IdentityReport:
-    """Two-sided check: for convex symmetric monotone weights the sum of
-    log-substituted conjugates equals the entropy sum, including boundary
-    probes (some x_j = 0) and the origin."""
-    return _identity_report(u, points, cfg)
 
 
 @dataclass(frozen=True)

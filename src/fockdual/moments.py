@@ -10,6 +10,7 @@ Everything is tracked in log space: moments grow super-geometrically.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -69,15 +70,9 @@ class MultiIndex:
 
 def iter_indices(n: int, max_degree: int) -> Iterator[MultiIndex]:
     """All alpha with |alpha| <= max_degree, in lexicographic order."""
-
-    def rec(prefix: tuple[int, ...], remaining: int, left: int):
-        if left == 0:
-            yield MultiIndex(prefix)
-            return
-        for c in range(remaining + 1):
-            yield from rec(prefix + (c,), remaining - c, left - 1)
-
-    yield from sorted(rec((), max_degree, n))
+    for c in itertools.product(range(max_degree + 1), repeat=n):
+        if sum(c) <= max_degree:
+            yield MultiIndex(c)
 
 
 @dataclass(frozen=True)

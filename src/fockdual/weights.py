@@ -39,8 +39,9 @@ class PowerTerm:
             raise WeightSpecError("term coefficient must be positive")
 
     def axis_value(self, r: np.ndarray) -> np.ndarray:
-        """1-D profile coef * r**p / p (valid per axis for 'power' terms)."""
-        return self.coef * np.abs(r) ** self.p / self.p
+        """1-D profile coef * r**p / p at moduli r >= 0 (valid per axis for
+        'power' terms)."""
+        return self.coef * r ** self.p / self.p
 
     def dual(self) -> "PowerTerm":
         # sup_x (x*y - c*x^p/p) = c^(1-q) * y^q / q with 1/p + 1/q = 1;
@@ -49,22 +50,25 @@ class PowerTerm:
         return PowerTerm(self.kind, q, self.coef ** (1.0 - q))
 
 
+def add_on_axes(tensor: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Add ``vectors[j]`` along axis j of a product-grid tensor, for every
+    axis j in order, in place, and return the tensor."""
+    n = len(vectors)
+    for j, v in enumerate(vectors):
+        sl = [None] * n
+        sl[j] = slice(None)
+        tensor += np.asarray(v)[tuple(sl)]
+    return tensor
+
+
 def _terms_on_axes(terms: Sequence[PowerTerm], axes: Sequence[np.ndarray]) -> np.ndarray:
-    n = len(axes)
     shape = tuple(len(a) for a in axes)
     total = np.zeros(shape)
     for term in terms:
         if term.kind == "power":
-            for j, a in enumerate(axes):
-                sl = [None] * n
-                sl[j] = slice(None)
-                total += term.axis_value(a)[tuple(sl)]
+            add_on_axes(total, [term.axis_value(a) for a in axes])
         else:
-            r2 = np.zeros(shape)
-            for j, a in enumerate(axes):
-                sl = [None] * n
-                sl[j] = slice(None)
-                r2 += (np.asarray(a) ** 2)[tuple(sl)]
+            r2 = add_on_axes(np.zeros(shape), [np.asarray(a) ** 2 for a in axes])
             total += term.coef * r2 ** (term.p / 2.0) / term.p
     return total
 

@@ -4,6 +4,29 @@ import pytest
 from fockdual import WeightFunction, make_fock, make_separable_power
 
 
+def _conjugate_bruteforce(f, dual_grid, chunk=4096):
+    """Exhaustive max over every node of a `SampledFunction`: the oracle the
+    scan-based grid conjugate is compared against."""
+    dual_grid = tuple(dual_grid)
+    mesh = np.meshgrid(*[a.nodes() for a in f.axes], indexing="ij")
+    nodes = np.stack([m.ravel() for m in mesh], axis=1)
+    vals = f.values.ravel()
+    duals = np.stack(
+        [m.ravel() for m in np.meshgrid(*[g.nodes() for g in dual_grid], indexing="ij")],
+        axis=1,
+    )
+    out = np.empty(len(duals))
+    for start in range(0, len(duals), chunk):
+        block = duals[start:start + chunk]
+        out[start:start + chunk] = np.max(block @ nodes.T - vals, axis=1)
+    return out.reshape(tuple(g.count for g in dual_grid))
+
+
+@pytest.fixture(scope="session")
+def conjugate_bruteforce():
+    return _conjugate_bruteforce
+
+
 @pytest.fixture(scope="session")
 def fock1():
     return make_fock(1)

@@ -88,8 +88,8 @@ def test_criterion_3_two_sided_identities(fock1, fock2, power4_1):
     worst = 0.0
     worst_shrink = math.inf
     for w, probes in ((fock1, PROBES_1D), (fock2, PROBES_2D), (power4_1, PROBES_1D)):
-        base = fd.verify_prop6_7(w, probes)
-        fine = fd.verify_prop6_7(w, probes, fd.DEFAULT.refined())
+        base = fd.verify_identities(w, probes)
+        fine = fd.verify_identities(w, probes, fd.DEFAULT.refined())
         worst = max(worst, base.max_abs_residual)
         worst_shrink = min(worst_shrink,
                            base.max_abs_residual / fine.max_abs_residual)
@@ -104,7 +104,7 @@ def test_criterion_4_one_sided_inequality():
         return np.maximum(r**2 / 2, r**2 / 4 + r / 2 + 1)
 
     w = fd.WeightFunction(n=1, eval=ev, label="max-two-quadratics")
-    rep = fd.verify_prop3(w, PROBES_1D)
+    rep = fd.verify_identities(w, PROBES_1D)
     verdict(4, rep.max_positive_residual <= 1e-3,
             f"one-sided residual {rep.max_positive_residual:.2e} <= 1e-3")
 

@@ -1,5 +1,5 @@
 """Grid conjugation against the exhaustive oracle, the log-substituted
-per-point conjugates, and the conjugation-identity verifiers."""
+per-point conjugates, and the conjugation-identity verifier."""
 
 import math
 from pathlib import Path
@@ -39,7 +39,7 @@ def test_sampled_function_validation():
 def test_conjugate_1d_quadratic_self_conjugacy():
     ax = grid(-6.0, 6.0, 1201)
     f = fd.SampledFunction((ax,), ax.nodes() ** 2 / 2)
-    res = fd.conjugate_1d(f, grid(-4.0, 4.0, 81))
+    res = fd.conjugate_nd(f, (grid(-4.0, 4.0, 81),))
     nodes = res.dual.axes[0].nodes()
     k = int(np.argmin(np.abs(nodes - 2.0)))
     assert res.dual.values[k] == pytest.approx(2.0, abs=1e-4)
@@ -51,7 +51,7 @@ def test_conjugate_1d_quadratic_self_conjugacy():
 def test_conjugate_1d_exponential():
     ax = grid(-10.0, 4.0, 1401)
     f = fd.SampledFunction((ax,), np.exp(ax.nodes()))
-    res = fd.conjugate_1d(f, grid(1.0, 2.0, 2))
+    res = fd.conjugate_nd(f, (grid(1.0, 2.0, 2),))
     # brute-force oracle over the same nodes
     t = ax.nodes()
     oracle = np.max(1.0 * t - np.exp(t))
@@ -62,17 +62,17 @@ def test_conjugate_1d_exponential():
 def test_conjugate_1d_abs():
     ax = grid(-5.0, 5.0, 201)
     f = fd.SampledFunction((ax,), np.abs(ax.nodes()))
-    res = fd.conjugate_1d(f, grid(0.5, 1.0, 2))
+    res = fd.conjugate_nd(f, (grid(0.5, 1.0, 2),))
     assert res.dual.values[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_conjugate_1d_matches_bruteforce_everywhere():
+def test_conjugate_1d_matches_bruteforce_everywhere(conjugate_bruteforce):
     rng = np.random.default_rng(7)
     ax = grid(-3.0, 3.0, 161)
     f = fd.SampledFunction((ax,), rng.standard_normal(161).cumsum())
     dual = grid(-5.0, 5.0, 97)
-    res = fd.conjugate_1d(f, dual)
-    bf = fd.conjugate_bruteforce(f, [dual])
+    res = fd.conjugate_nd(f, (dual,))
+    bf = conjugate_bruteforce(f, [dual])
     assert np.max(np.abs(res.dual.values - bf)) <= 1e-12
 
 
@@ -80,7 +80,7 @@ def test_conjugate_1d_rejects_nd():
     axes = (grid(-1, 1, 5), grid(-1, 1, 5))
     f = fd.SampledFunction(axes, np.zeros((5, 5)))
     with pytest.raises(ValueError):
-        fd.conjugate_1d(f, grid(-1, 1, 5))
+        fd.conjugate_nd(f, (grid(-1, 1, 5),))
 
 
 def test_conjugate_nd_separable_example():
@@ -109,13 +109,13 @@ def test_conjugate_nd_fock_and_flat_box(fock2):
 
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
-def test_conjugate_nd_equals_bruteforce_random(seed):
+def test_conjugate_nd_equals_bruteforce_random(conjugate_bruteforce, seed):
     rng = np.random.default_rng(seed)
     axes = (grid(-2.0, 2.0, 18), grid(-1.5, 2.5, 15))
     f = fd.SampledFunction(axes, rng.standard_normal((18, 15)))
     dual = (grid(-3.0, 3.0, 9), grid(-2.0, 2.0, 7))
     res = fd.conjugate_nd(f, dual)
-    bf = fd.conjugate_bruteforce(f, dual)
+    bf = conjugate_bruteforce(f, dual)
     assert np.max(np.abs(res.dual.values - bf)) <= 1e-10
 
 
@@ -126,7 +126,7 @@ def test_conjugate_nd_dimension_mismatch(fock2):
         fd.conjugate_nd(f, (grid(-1, 1, 5),))
 
 
-def test_conjugate_nd_bruteforce_on_large_grid(fock2):
+def test_conjugate_nd_bruteforce_on_large_grid(conjugate_bruteforce, fock2):
     # ~9e4 nodes: the scan must agree with the exhaustive oracle
     axes = (grid(-3.0, 3.0, 301), grid(-3.0, 3.0, 301))
     vals = symmetrized_fn(fock2).on_axes([a.nodes() for a in axes])
@@ -134,7 +134,7 @@ def test_conjugate_nd_bruteforce_on_large_grid(fock2):
     f = fd.SampledFunction(axes, vals)
     dual = (grid(-2.0, 2.0, 5), grid(-2.0, 2.0, 5))
     res = fd.conjugate_nd(f, dual)
-    bf = fd.conjugate_bruteforce(f, dual)
+    bf = conjugate_bruteforce(f, dual)
     assert np.max(np.abs(res.dual.values - bf)) <= 1e-10
 
 
@@ -143,8 +143,8 @@ def test_order_reversal():
     f = fd.SampledFunction((ax,), ax.nodes() ** 2 / 2)
     g = fd.SampledFunction((ax,), ax.nodes() ** 2 / 2 + np.abs(ax.nodes()))
     dual = grid(-4.0, 4.0, 301)
-    fstar = fd.conjugate_1d(f, dual).dual.values
-    gstar = fd.conjugate_1d(g, dual).dual.values
+    fstar = fd.conjugate_nd(f, (dual,)).dual.values
+    gstar = fd.conjugate_nd(g, (dual,)).dual.values
     assert np.all(fstar >= gstar)
 
 
@@ -152,8 +152,8 @@ def test_biconjugation_within_interpolation_bound():
     ax = grid(-6.0, 6.0, 201)
     f = fd.SampledFunction((ax,), ax.nodes() ** 2 / 2)
     dual = grid(-7.0, 7.0, 173)
-    fstar = fd.conjugate_1d(f, dual)
-    back = fd.conjugate_1d(fstar.dual, ax)
+    fstar = fd.conjugate_nd(f, (dual,))
+    back = fd.conjugate_nd(fstar.dual, (ax,))
     gap = np.max(np.abs(f.values[1:-1] - back.dual.values[1:-1]))
     bound = 2 * np.max(np.abs(np.diff(fstar.dual.values, n=2))) / 8
     assert gap <= bound + 1e-12
@@ -171,7 +171,7 @@ def test_fenchel_young_at_nodes(xi, ki):
     f_vals = np.abs(nodes) ** 3 / 3
     f = fd.SampledFunction((ax,), f_vals)
     dual = grid(-6.0, 6.0, 161)
-    fstar = fd.conjugate_1d(f, dual).dual.values
+    fstar = fd.conjugate_nd(f, (dual,)).dual.values
     x = nodes[xi]
     y = dual.nodes()[ki]
     assert f_vals[xi] + fstar[ki] >= x * y - 1e-10
@@ -180,7 +180,7 @@ def test_fenchel_young_at_nodes(xi, ki):
 def test_slope_range():
     ax = grid(-5.0, 5.0, 201)
     f = fd.SampledFunction((ax,), np.abs(ax.nodes()))
-    res = fd.conjugate_1d(f, grid(-1, 1, 3))
+    res = fd.conjugate_nd(f, (grid(-1, 1, 3),))
     (lo, hi), = res.slope_range
     assert lo == pytest.approx(-1.0, abs=1e-10)
     assert hi == pytest.approx(1.0, abs=1e-10)
@@ -191,31 +191,18 @@ def test_slope_range():
 
 
 def test_log_substitute_weight(fock1, fock2):
-    box = (grid(-2.0, 2.0, 5),)
-    s = fd.log_substitute(fock1, box)
-    assert s.domain_tag == "log-substituted"
+    vals = log_image(fock1).on_axes([grid(-2.0, 2.0, 5).nodes()])
     k = 2  # node t = 0
-    assert s.values[k] == pytest.approx(0.5)
-    s2 = fd.log_substitute(fock1, (grid(math.log(2.0), 1.0, 2),))
-    assert s2.values[0] == pytest.approx(2.0)
+    assert vals[k] == pytest.approx(0.5)
+    vals2 = log_image(fock1).on_axes([grid(math.log(2.0), 1.0, 2).nodes()])
+    assert vals2[0] == pytest.approx(2.0)
 
     def plus(x):
         return np.asarray(x, dtype=float).sum(axis=-1)
 
     w = fd.WeightFunction(n=2, eval=plus, label="sum")
-    s3 = fd.log_substitute(w, (grid(-1.0, 1.0, 3), grid(-1.0, 1.0, 3)))
-    assert s3.values[1, 1] == pytest.approx(2.0)
-
-
-def test_log_substitute_sampled(fock1):
-    ax = grid(0.0, 10.0, 2001)
-    f = fd.SampledFunction((ax,), ax.nodes() ** 2 / 2)
-    box = (grid(-1.0, 1.0, 9),)
-    s = fd.log_substitute(f, box)
-    expected = np.exp(box[0].nodes() * 2) / 2
-    assert np.allclose(s.values, expected, atol=1e-4)
-    with pytest.raises(ValueError):
-        fd.log_substitute(f, (grid(-1.0, 5.0, 9),))  # e^5 outside the sampling
+    vals3 = log_image(w).on_axes([grid(-1.0, 1.0, 3).nodes()] * 2)
+    assert vals3[1, 1] == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +230,7 @@ def test_log_conj_rejects_negative_probe(fock1):
 
 
 def test_prop3_fock(fock1):
-    rep = fd.verify_prop3(fock1, [[1.0], [0.0], [2.0]])
+    rep = fd.verify_identities(fock1, [[1.0], [0.0], [2.0]])
     assert rep.max_positive_residual <= 1e-6
     assert rep.lhs[0] == pytest.approx(-1.0, abs=1e-6)
     assert rep.rhs[0] == pytest.approx(-1.0)
@@ -253,7 +240,7 @@ def test_prop3_fock(fock1):
 
 
 def test_entropy_sum_in_two_dims(fock2):
-    rep = fd.verify_prop6_7(fock2, [[1.0, 1.0], [2.0, 0.0]])
+    rep = fd.verify_identities(fock2, [[1.0, 1.0], [2.0, 0.0]])
     assert rep.rhs[0] == pytest.approx(-2.0)
     assert rep.rhs[1] == pytest.approx(2 * math.log(2) - 2)
     assert rep.max_abs_residual <= 1e-6
@@ -262,22 +249,22 @@ def test_entropy_sum_in_two_dims(fock2):
 def test_prop6_7_residuals_and_refinement(fock1, fock2, power4,
                                           probes_1d, probes_2d):
     for w, probes in ((fock1, probes_1d), (fock2, probes_2d), (power4, probes_1d)):
-        rep = fd.verify_prop6_7(w, probes)
+        rep = fd.verify_identities(w, probes)
         assert rep.max_abs_residual <= 1e-3
-    base = fd.verify_prop6_7(fock1, probes_1d)
-    fine = fd.verify_prop6_7(fock1, probes_1d, fd.DEFAULT.refined())
+    base = fd.verify_identities(fock1, probes_1d)
+    fine = fd.verify_identities(fock1, probes_1d, fd.DEFAULT.refined())
     assert fine.max_abs_residual <= base.max_abs_residual / 1.8
 
 
 def test_prop3_nonsmooth_one_sided(nonsmooth_convex, probes_1d):
-    rep = fd.verify_prop3(nonsmooth_convex, probes_1d)
+    rep = fd.verify_identities(nonsmooth_convex, probes_1d)
     assert rep.max_positive_residual <= 1e-3
 
 
 def test_prop3_holds_but_equality_fails_for_nonconvex(nonconvex_double, probes_1d):
-    rep3 = fd.verify_prop3(nonconvex_double, probes_1d)
+    rep3 = fd.verify_identities(nonconvex_double, probes_1d)
     assert rep3.max_positive_residual <= 1e-3
-    rep67 = fd.verify_prop6_7(nonconvex_double, probes_1d)
+    rep67 = fd.verify_identities(nonconvex_double, probes_1d)
     assert rep67.max_abs_residual > 0.05  # strict convexity gap is visible
 
 
@@ -297,6 +284,19 @@ def test_numeric_dual_radial_nonseparable():
     q = 1.5
     closed = np.linalg.norm(pts, axis=1) ** q / q
     assert np.max(np.abs(numeric.eval(pts) - closed)) <= 1e-3
+
+
+def test_numeric_dual_nonseparable_grid_matches_pointwise():
+    # the product-grid path (iterated scans) against the pointwise max
+    w = fd.weight_from_json({"n": 2, "terms": [
+        {"type": "radial_power", "p": 3.0, "coef": 1.0}
+    ]})
+    numeric = fd.numeric_dual_weight(w)
+    axes = [np.linspace(0.0, 4.0, 33), np.linspace(-1.0, 3.0, 17)]
+    on_grid = numeric.eval_on_axes(axes)
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    assert on_grid.shape == (33, 17)
+    assert np.max(np.abs(on_grid - numeric.eval(mesh))) <= 1e-12
 
 
 def test_numeric_dual_paths_agree_and_build_one_hull(monkeypatch):

@@ -137,13 +137,13 @@ def test_numeric_dual_skips_extent_sup_inside_its_reach(monkeypatch):
 
 def test_identities_compute_one_report_per_grid(monkeypatch, tmp_path):
     cfgs = []
-    report = fenchel._identity_report
+    report = fenchel.verify_identities
 
     def counting(u, points, cfg):
         cfgs.append(cfg)
         return report(u, points, cfg)
 
-    monkeypatch.setattr(fenchel, "_identity_report", counting)
+    monkeypatch.setattr(fenchel, "verify_identities", counting)
     run = cli.RunConfig(weight_preset="fock:1", out_dir=str(tmp_path / "plain"))
     assert cli.cmd_identities(fd.make_fock(1), cli.numerics_for(run), run).passed
     assert cfgs == [fd.DEFAULT]
