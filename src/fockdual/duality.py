@@ -22,35 +22,85 @@ import numpy as np
 from .config import DEFAULT, NumericsConfig
 from .fenchel import dual_weight, log_image, scale_fn, truncated_sup
 from .laplace import SublevelSpec, default_volume_method, laplace_integral, sublevel_volume
-from .moments import LN_2PI, MomentTable, MultiIndex, iter_indices
+from .moments import LN_2PI, MomentTable, MultiIndex, index_positions
 from .weights import WeightFunction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class CoefficientSequence:
-    """Finite coefficient family alpha -> complex; absent entries are zero."""
+    """Finite coefficient family alpha -> complex; absent entries are zero.
+
+    Stored dense: read-only real and imaginary float arrays ``re`` and
+    ``im`` with one entry per iter_indices(n, truncation_degree) index, in
+    that order. Entries that are exactly zero count as absent.
+    """
 
     n: int
-    coeffs: dict
     truncation_degree: int
+    re: np.ndarray
+    im: np.ndarray
 
-    def __post_init__(self):
-        for alpha in self.coeffs:
-            if alpha.n != self.n:
+    def __init__(self, n: int, coeffs: dict, truncation_degree: int):
+        positions = index_positions(n, truncation_degree)
+        re = np.zeros(len(positions))
+        im = np.zeros(len(positions))
+        for alpha, c in coeffs.items():
+            if alpha.n != n:
                 raise ValueError("coefficient index dimension mismatch")
-            if alpha.degree > self.truncation_degree:
+            if alpha.degree > truncation_degree:
                 raise ValueError(
                     f"index {alpha.components} exceeds truncation degree"
                 )
-        # index order, established once: items() is read per coefficient map
-        object.__setattr__(self, "coeffs", dict(sorted(self.coeffs.items())))
+            c = complex(c)
+            re[positions[alpha]] = c.real
+            im[positions[alpha]] = c.imag
+        self._set(n, truncation_degree, re, im)
+
+    @classmethod
+    def dense(cls, n: int, truncation_degree: int, re: np.ndarray,
+              im: np.ndarray) -> "CoefficientSequence":
+        """A sequence from arrays already in iter_indices order."""
+        seq = object.__new__(cls)
+        seq._set(n, truncation_degree, re, im)
+        return seq
+
+    def _set(self, n, truncation_degree, re, im) -> None:
+        re.flags.writeable = False
+        im.flags.writeable = False
+        for name, value in (("n", n), ("truncation_degree", truncation_degree),
+                            ("re", re), ("im", im)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, CoefficientSequence):
+            return NotImplemented
+        return (self.n == other.n
+                and self.truncation_degree == other.truncation_degree
+                and np.array_equal(self.re, other.re)
+                and np.array_equal(self.im, other.im))
+
+    @property
+    def coeffs(self) -> dict:
+        return dict(self.items())
 
     def items(self) -> list[tuple[MultiIndex, complex]]:
-        """The (index, coefficient) pairs in index order."""
-        return list(self.coeffs.items())
+        """The nonzero (index, coefficient) pairs in index order."""
+        alphas = list(index_positions(self.n, self.truncation_degree))
+        return [
+            (alphas[i], complex(self.re[i], self.im[i]))
+            for i in np.flatnonzero((self.re != 0) | (self.im != 0))
+        ]
 
     def get(self, alpha: MultiIndex) -> complex:
-        return self.coeffs.get(alpha, 0j)
+        i = index_positions(self.n, self.truncation_degree).get(alpha)
+        return 0j if i is None else complex(self.re[i], self.im[i])
+
+    def moduli(self) -> tuple[np.ndarray, list[float]]:
+        """Positions of the nonzero entries and their moduli; np.hypot gives
+        the same floats as abs(complex)."""
+        mag = np.hypot(self.re, self.im)
+        keep = np.flatnonzero(mag)
+        return keep, mag[keep].tolist()
 
     def to_json(self, path) -> None:
         payload = {
@@ -74,12 +124,10 @@ class CoefficientSequence:
 
 
 def random_sequence(n: int, degree: int, rng: np.random.Generator) -> CoefficientSequence:
-    """Dense standard-complex-normal coefficients up to the given degree."""
-    coeffs = {}
-    for alpha in iter_indices(n, degree):
-        re, im = rng.standard_normal(2)
-        coeffs[alpha] = complex(re, im) / math.sqrt(2.0)
-    return CoefficientSequence(n=n, coeffs=coeffs, truncation_degree=degree)
+    """Dense standard-complex-normal coefficients up to the given degree; one
+    (re, im) draw per index, in index order."""
+    re, im = (rng.standard_normal((len(index_positions(n, degree)), 2)) / math.sqrt(2.0)).T
+    return CoefficientSequence.dense(n, degree, re, im)
 
 
 def _pairwise_desc_sum(values: Iterable[float]) -> float:
@@ -91,46 +139,46 @@ def _pairwise_desc_sum(values: Iterable[float]) -> float:
     return float(arr.sum())
 
 
-def norm_sq(c: CoefficientSequence, table: MomentTable) -> float:
-    """Squared weighted norm sum |a_alpha|^2 c_alpha (diagonal Gram matrix)."""
+def _dense_table(c: CoefficientSequence, table: MomentTable):
     if table.max_degree < c.truncation_degree:
         raise KeyError("moment table does not cover the truncation degree")
-    terms = []
-    for alpha, a in c.items():
-        mag = abs(a)
-        if mag == 0.0:
-            continue
-        terms.append(math.exp(2.0 * math.log(mag) + table.ln(alpha)))
-    return _pairwise_desc_sum(terms)
+    return table.dense_vectors(c.truncation_degree)
 
 
-def _scale(table: MomentTable, alpha: MultiIndex) -> float:
-    """c_alpha / alpha! evaluated once, shared by both map directions."""
-    return math.exp(table.ln(alpha) - alpha.log_factorial())
+def norm_sq(c: CoefficientSequence, table: MomentTable) -> float:
+    """Squared weighted norm sum |a_alpha|^2 c_alpha (diagonal Gram matrix)."""
+    ln_c = _dense_table(c, table)[0]
+    keep, mags = c.moduli()
+    # math.exp and math.log per entry: their numpy counterparts round differently
+    return _pairwise_desc_sum(
+        math.exp(2.0 * math.log(m) + ln) for m, ln in zip(mags, ln_c[keep].tolist())
+    )
 
 
 def forward_map(b: CoefficientSequence, table_phi: MomentTable) -> CoefficientSequence:
     """Transform coefficients d_alpha = c_alpha conj(b_alpha) / alpha!."""
-    if table_phi.max_degree < b.truncation_degree:
-        raise KeyError("moment table does not cover the truncation degree")
-    coeffs = {}
-    for alpha, val in b.items():
-        coeffs[alpha] = val.conjugate() * _scale(table_phi, alpha)
-    return CoefficientSequence(
-        n=b.n, coeffs=coeffs, truncation_degree=b.truncation_degree
-    )
+    scale = _dense_table(b, table_phi)[2]
+    return CoefficientSequence.dense(b.n, b.truncation_degree, b.re * scale, -b.im * scale)
 
 
 def inverse_map(d: CoefficientSequence, table_phi: MomentTable) -> CoefficientSequence:
     """Inverse g_alpha = conj(d_alpha) alpha! / c_alpha; dividing by the same
     stored scale makes inverse_map(forward_map(b)) exact to rounding."""
-    if table_phi.max_degree < d.truncation_degree:
-        raise KeyError("moment table does not cover the truncation degree")
-    coeffs = {}
-    for alpha, val in d.items():
-        coeffs[alpha] = val.conjugate() / _scale(table_phi, alpha)
-    return CoefficientSequence(
-        n=d.n, coeffs=coeffs, truncation_degree=d.truncation_degree
+    scale = _dense_table(d, table_phi)[2]
+    return CoefficientSequence.dense(d.n, d.truncation_degree, d.re / scale, -d.im / scale)
+
+
+def direct_forward_norm_sq(b: CoefficientSequence, table_phi: MomentTable,
+                           table_phi_star: MomentTable) -> float:
+    """||forward(b)||^2 in the dual weight's norm, summed straight from b:
+    sum e^{2 (ln c_alpha + ln|b_alpha| - ln alpha!) + ln c*_alpha}."""
+    ln_c, ln_fact, _ = _dense_table(b, table_phi)
+    ln_c_star = _dense_table(b, table_phi_star)[0]
+    keep, mags = b.moduli()
+    return _pairwise_desc_sum(
+        math.exp(2.0 * (c + math.log(m) - f) + c_star)
+        for m, c, f, c_star in zip(mags, ln_c[keep].tolist(), ln_fact[keep].tolist(),
+                                   ln_c_star[keep].tolist())
     )
 
 
@@ -264,11 +312,10 @@ def roundtrip_ulp_error(b: CoefficientSequence, table_phi: MomentTable,
         d = forward_map(b, table_phi)
     back = inverse_map(d, table_phi)
     worst = 0.0
-    for alpha, val in b.items():
-        rec = back.get(alpha)
-        for part, ref in ((rec.real, val.real), (rec.imag, val.imag)):
-            ulp = math.ulp(abs(ref)) if ref != 0 else math.ulp(1.0)
-            worst = max(worst, abs(part - ref) / ulp)
+    for rec, ref in ((back.re, b.re), (back.im, b.im)):
+        # np.spacing(|x|) is math.ulp(|x|)
+        ulp = np.where(ref != 0, np.spacing(np.abs(ref)), math.ulp(1.0))
+        worst = max(worst, float(np.max(np.abs(rec - ref) / ulp)))
     return worst
 
 

@@ -91,6 +91,7 @@ class GridFn:
     profiles, which unlocks the exact per-axis conjugation fast path.
     ``key`` names the function by value (see `_weight_key`); sups, volumes
     and integrals of a keyed function are memoized on it (see `memoized`).
+    A keyed separable function has the same profile on every axis.
     ``convex`` is set when the function is convex by construction, so that
     <y, t> - fn(t) is concave in t for every y (see `_sup_line`).
     """
@@ -263,19 +264,25 @@ class SupResult:
 # objectives; each entry is a small result object, and a run holds a few
 # hundred of them.
 _MEMO: dict = {}
+# Per-process store of the 1-D line sups of keyed separable objectives, one
+# per axis coordinate (see `_truncated_sup`); kept apart from `_MEMO`.
+_LINES: dict = {}
 
 
-def memoized(fn_key: Optional[tuple], inputs: tuple, compute: Callable[[], object]):
+def memoized(fn_key: Optional[tuple], inputs: tuple, compute: Callable[[], object],
+             store: Optional[dict] = None):
     """``compute()``, computed once per process for each objective key and
     the remaining ``inputs`` that decide its result; an objective without a
-    key (``fn_key`` None) is never memoized."""
+    key (``fn_key`` None) is never memoized. ``store`` defaults to `_MEMO`."""
     if fn_key is None:
         return compute()
+    if store is None:
+        store = _MEMO
     key = (fn_key,) + inputs
     try:
-        return _MEMO[key]
+        return store[key]
     except KeyError:
-        out = _MEMO[key] = compute()
+        out = store[key] = compute()
         return out
 
 
@@ -458,6 +465,18 @@ def _peak_curvature(fn: GridFn, t_star: np.ndarray, y: np.ndarray) -> np.ndarray
     return out
 
 
+def _axis_line(prof: Callable[[np.ndarray], np.ndarray], yj: float, cfg: NumericsConfig,
+               step: float, floor: Optional[float],
+               concave: bool) -> tuple[float, float, float, float, float]:
+    """(value, argmax, lo, hi, curvature) of sup_t yj t - prof(t)."""
+    val, tj, lo_j, hi_j = _sup_line(lambda t: yj * t - prof(t), cfg, step, floor, concave)
+    h = 1e-3
+    curv = abs(
+        float(prof(np.array(tj + h)) + prof(np.array(tj - h)) - 2 * prof(np.array(tj)))
+    ) / h**2
+    return val, tj, lo_j, hi_j, curv
+
+
 def truncated_sup(fn: GridFn, y, cfg: NumericsConfig = DEFAULT,
                   floor: Optional[float] = None) -> SupResult:
     """sup over t of <y, t> - fn(t), truncated to the decay-budget box.
@@ -477,24 +496,18 @@ def _truncated_sup(fn: GridFn, y: np.ndarray, cfg: NumericsConfig,
                    floor: Optional[float]) -> SupResult:
     if fn.axis_profiles is not None:
         step = cfg.step_for(fn.n, separable=True)
+        # every axis of a keyed function has one profile, so a line depends on
+        # the axis coordinate alone
+        lines = [
+            memoized(fn.key, (value_bytes(y[j]), cfg, floor),
+                     lambda p=prof, yj=y[j]: _axis_line(p, yj, cfg, step, floor, fn.convex),
+                     store=_LINES)
+            for j, prof in enumerate(fn.axis_profiles)
+        ]
         total = 0.0
-        arg = np.empty(fn.n)
-        lo = np.empty(fn.n)
-        hi = np.empty(fn.n)
-        curv = np.empty(fn.n)
-        for j, prof in enumerate(fn.axis_profiles):
-            val, tj, lo_j, hi_j = _sup_line(
-                lambda t, p=prof, yj=y[j]: yj * t - p(t), cfg, step, floor, fn.convex
-            )
-            total += val
-            arg[j] = tj
-            lo[j] = lo_j
-            hi[j] = hi_j
-            h = 1e-3
-            curv[j] = abs(
-                float(prof(np.array(tj + h)) + prof(np.array(tj - h))
-                      - 2 * prof(np.array(tj)))
-            ) / h**2
+        for line in lines:
+            total += line[0]
+        arg, lo, hi, curv = (np.array(col) for col in list(zip(*lines))[1:])
         return SupResult(total, arg, lo, hi, curv)
 
     if fn.n == 1:

@@ -10,12 +10,14 @@ Everything is tracked in log space: moments grow super-geometrically.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -75,6 +77,13 @@ def iter_indices(n: int, max_degree: int) -> Iterator[MultiIndex]:
             yield MultiIndex(c)
 
 
+@functools.lru_cache(maxsize=None)
+def index_positions(n: int, max_degree: int) -> Mapping[MultiIndex, int]:
+    """Read-only {alpha: position} over iter_indices(n, max_degree), in that
+    order; built once per shape and shared."""
+    return MappingProxyType({alpha: i for i, alpha in enumerate(iter_indices(n, max_degree))})
+
+
 @dataclass(frozen=True)
 class MomentEntry:
     value: float
@@ -123,6 +132,7 @@ class MomentTable:
     n: int
     max_degree: int
     entries: dict
+    _dense: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for alpha in iter_indices(self.n, self.max_degree):
@@ -140,6 +150,18 @@ class MomentTable:
 
     def ln(self, alpha: MultiIndex) -> float:
         return self.entry(alpha).ln_value
+
+    def dense_vectors(self, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ln c_alpha, ln alpha!, c_alpha / alpha!) over iter_indices(n, degree),
+        computed once per degree. The scale is math.exp(ln c_alpha - ln alpha!)
+        entry by entry: np.exp does not always round the same way."""
+        if degree not in self._dense:
+            alphas = index_positions(self.n, degree)
+            ln_c = [self.ln(a) for a in alphas]
+            ln_fact = [a.log_factorial() for a in alphas]
+            scale = [math.exp(c - f) for c, f in zip(ln_c, ln_fact)]
+            self._dense[degree] = tuple(np.array(v) for v in (ln_c, ln_fact, scale))
+        return self._dense[degree]
 
     def rows(self) -> list[tuple]:
         out = []

@@ -1,7 +1,11 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from fockdual import WeightFunction, make_fock, make_separable_power
+from fockdual.moments import iter_indices
 
 
 def _conjugate_bruteforce(f, dual_grid, chunk=4096):
@@ -25,6 +29,69 @@ def _conjugate_bruteforce(f, dual_grid, chunk=4096):
 @pytest.fixture(scope="session")
 def conjugate_bruteforce():
     return _conjugate_bruteforce
+
+
+def _desc_sum(terms):
+    arr = np.sort(np.asarray(list(terms), dtype=np.float64))[::-1]
+    return float(arr.sum()) if arr.size else 0.0
+
+
+def _oracle_scale(table, alpha):
+    return math.exp(table.ln(alpha) - alpha.log_factorial())
+
+
+def _oracle_random_sequence(n, degree, rng):
+    coeffs = {}
+    for alpha in iter_indices(n, degree):
+        re, im = rng.standard_normal(2)
+        coeffs[alpha] = complex(re, im) / math.sqrt(2.0)
+    return coeffs
+
+
+def _oracle_norm_sq(items, table):
+    return _desc_sum(
+        math.exp(2.0 * math.log(abs(a)) + table.ln(alpha))
+        for alpha, a in items if abs(a) != 0.0
+    )
+
+
+def _oracle_forward(items, table):
+    return {alpha: v.conjugate() * _oracle_scale(table, alpha) for alpha, v in items}
+
+
+def _oracle_inverse(items, table):
+    return {alpha: v.conjugate() / _oracle_scale(table, alpha) for alpha, v in items}
+
+
+def _oracle_roundtrip_ulp(items, table):
+    back = _oracle_inverse(_oracle_forward(items, table).items(), table)
+    worst = 0.0
+    for alpha, val in items:
+        rec = back[alpha]
+        for part, ref in ((rec.real, val.real), (rec.imag, val.imag)):
+            ulp = math.ulp(abs(ref)) if ref != 0 else math.ulp(1.0)
+            worst = max(worst, abs(part - ref) / ulp)
+    return worst
+
+
+def _oracle_direct_norm(items, table, table_star):
+    return _desc_sum(
+        math.exp(2.0 * (table.ln(a) + math.log(abs(v)) - a.log_factorial())
+                 + table_star.ln(a))
+        for a, v in items if abs(v) > 0
+    )
+
+
+@pytest.fixture(scope="session")
+def duality_oracle():
+    """The per-index `math` formulas of the coefficient maps and norms, taking
+    (index, coefficient) pairs: the oracle the dense arrays are compared
+    against bit for bit."""
+    return SimpleNamespace(
+        random_sequence=_oracle_random_sequence, norm_sq=_oracle_norm_sq,
+        forward=_oracle_forward, inverse=_oracle_inverse,
+        roundtrip_ulp=_oracle_roundtrip_ulp, direct_norm=_oracle_direct_norm,
+    )
 
 
 @pytest.fixture(scope="session")

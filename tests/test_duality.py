@@ -246,3 +246,33 @@ def test_orthogonality(fock1, power4, table1):
     assert v <= 1e-8
     with pytest.raises(ValueError):
         fd.monomial_orthogonality_check(fock1, MultiIndex((1,)), MultiIndex((1,)))
+
+
+@pytest.mark.parametrize("weight, degree", [("fock2", 8), ("power4", 10)])
+def test_dense_maps_match_per_index_formulas_exactly(duality_oracle, request, weight, degree):
+    # on fock:2 every c_alpha / alpha! is about pi^2, where np.exp and
+    # math.exp happen to agree; power:4:1 has scales on which they differ
+    oracle = duality_oracle
+    w = request.getfixturevalue(weight)
+    n = w.n
+    table = fd.moment_table(w, degree)
+    table_star = fd.moment_table(fd.dual_weight(w), degree)
+    sequences = []
+    for s in range(5):
+        b = fd.random_sequence(n, degree, np.random.default_rng(s))
+        assert b.coeffs == oracle.random_sequence(n, degree, np.random.default_rng(s))
+        sequences.append(b)
+    sparse = {(0,) * n: 1.5 - 0.25j, (3,) + (0,) * (n - 1): -2e-3,
+              (degree,) + (0,) * (n - 1): 7j}
+    sequences.append(seq(n, degree, sparse))
+    sequences.append(seq(n, degree, {}))
+    for b in sequences:
+        items = b.items()
+        d = fd.forward_map(b, table)
+        assert d.coeffs == oracle.forward(items, table)
+        assert fd.inverse_map(b, table).coeffs == oracle.inverse(items, table)
+        assert fd.norm_sq(b, table) == oracle.norm_sq(items, table)
+        assert fd.norm_sq(d, table_star) == oracle.norm_sq(d.items(), table_star)
+        assert fd.roundtrip_ulp_error(b, table) == oracle.roundtrip_ulp(items, table)
+        assert (fd.duality.direct_forward_norm_sq(b, table, table_star)
+                == oracle.direct_norm(items, table, table_star))

@@ -16,9 +16,11 @@ SEP1_WEIGHT = Path(__file__).resolve().parents[1] / "fdbench" / "weights" / "sep
 
 @pytest.fixture
 def memo(monkeypatch):
-    """An empty memo for this test; the session's memo is restored after."""
+    """An empty memo and line store for this test; the session's are
+    restored after."""
     store = {}
     monkeypatch.setattr(fenchel, "_MEMO", store)
+    monkeypatch.setattr(fenchel, "_LINES", {})
     return store
 
 
@@ -46,6 +48,21 @@ def test_moment_tables_compute_each_sup_and_integral_once(memo, monkeypatch, foc
     indices = len(list(iter_indices(2, 4)))
     assert len(sups) == indices and len(set(sups)) == indices
     assert len(integrals) == indices and len(set(integrals)) == indices
+
+
+def test_separable_sups_solve_one_line_per_axis_coordinate(memo, monkeypatch, fock2):
+    lines = []
+    inner = fenchel._sup_line
+
+    def counting(*args, **kwargs):
+        lines.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(fenchel, "_sup_line", counting)
+    fd.moment_table(fock2, 4)
+    fd.moment_table(fd.dual_weight(fock2), 4)
+    # fifteen sups at y = 2 (alpha + 1); their coordinates take five values
+    assert len(lines) == 5
 
 
 def test_distinct_inputs_never_alias(memo, power4):
