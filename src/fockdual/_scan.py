@@ -5,6 +5,12 @@ discrete conjugate max_i (x * y_i - f_i) only ever picks a node of the lower
 convex hull of the samples (y_i, f_i), and along that hull the maximizing
 node moves right as x grows. A `Hull` is built once per sampled function;
 each query then finds its node by binary search on the hull's edge slopes.
+
+The hull is built by Andrew's monotone chain, which pops the stack top
+while it lies on or above the chord from the node below it to the next
+sample. Samples of a convex function pop nothing, so one vectorized pass
+first runs that same pop test on every consecutive triple, and the
+sequential chain starts only at the first triple that pops (see `Hull`).
 """
 
 import numpy as np
@@ -17,6 +23,15 @@ class Hull:
 
     ``y`` must be strictly increasing. Middle points on or above a chord are
     dropped, so the hull keeps only the nodes a conjugate can pick.
+
+    Until the chain first pops, its stack is 0..i-1 when it reaches sample
+    i, so its one test there is the triple (i-2, i-1, i). The test is
+    therefore evaluated for every consecutive triple at once, with the
+    loop's own float expression (the same subtractions and products, each
+    rounded once, then ``>=``), which decides exactly what the loop would.
+    If the first triple that pops ends at ``start``, the stack holds
+    0..start-1 there, and the loop runs only from ``start``; if none pops,
+    every sample is a hull node and the loop does not run.
     """
 
     def __init__(self, y, f):
@@ -28,14 +43,24 @@ class Hull:
             raise ValueError("empty grid")
         if not np.all(y[1:] > y[:-1]):
             raise ValueError("hull nodes must be strictly increasing")
+        n = y.shape[0]
+        start = n
+        if n >= 3:
+            # the chain's pop test on every triple (i-2, i-1, i) = (a, b, i)
+            ya, yb, yi = y[:-2], y[1:-1], y[2:]
+            fa, fb, fi = f[:-2], f[1:-1], f[2:]
+            pops = (fb - fa) * (yi - ya) >= (fi - fa) * (yb - ya)
+            first = int(np.argmax(pops))
+            if pops[first]:
+                start = first + 2
         # memoryview items are Python floats: they round exactly like float64
         # scalars, index faster and need no list copy of the samples
         yv = memoryview(np.ascontiguousarray(y))
         fv = memoryview(np.ascontiguousarray(f))
-        hull = np.empty(y.shape[0], dtype=np.intp)
+        hull = np.arange(n, dtype=np.intp)
         hv = memoryview(hull)
-        h = 0
-        for i in range(y.shape[0]):
+        h = start
+        for i in range(start, n):
             while h >= 2:
                 a = hv[h - 2]
                 b = hv[h - 1]

@@ -471,10 +471,12 @@ def cmd_duality(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> Suite
     for seq_id in range(100):
         b = duality.random_sequence(w.n, run.max_degree, rng)
         d = duality.forward_map(b, table)
-        r1, r2 = duality.isomorphism_bound_check(b, table, table_star, krep.K_hat, d=d)
+        back = duality.inverse_map(d, table)
+        r1, r2 = duality.isomorphism_bound_check(b, table, table_star, krep.K_hat,
+                                                 d=d, back=back)
         forward_ok = forward_ok and r1.ok
         inverse_ok = inverse_ok and r2.ok
-        ulp_worst = max(ulp_worst, duality.roundtrip_ulp_error(b, table, d=d))
+        ulp_worst = max(ulp_worst, duality.roundtrip_ulp_error(b, table, back=back))
         direct = duality.direct_forward_norm_sq(b, table, table_star)
         # r1.lhs is ||forward(b)||^2 in the dual weight's norm
         eq1_worst = max(eq1_worst, abs(r1.lhs / direct - 1.0))

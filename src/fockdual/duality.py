@@ -278,12 +278,14 @@ _BOUND_TOL = 1e-9
 def isomorphism_bound_check(b: CoefficientSequence, table_phi: MomentTable,
                             table_phi_star: MomentTable, K: float,
                             d: Optional[CoefficientSequence] = None,
+                            back: Optional[CoefficientSequence] = None,
                             ) -> tuple[BoundReport, BoundReport]:
     """Operator bounds for the transform pair at a certified constant K.
 
     Forward: ||forward(b)||^2 (dual weight) <= (2 pi)^n (1 + n!)^2 K ||b||^2.
     Inverse: for G = forward(b), ||inverse(G)||^2 <= K e^2 (2 e pi)^n ||G||^2.
-    ``d`` is forward(b) when the caller already has it.
+    ``d`` is forward(b) and ``back`` is inverse(d) when the caller already
+    has them.
     """
     n = b.n
     m1 = (2.0 * math.pi) ** n * (1.0 + math.factorial(n)) ** 2 * K
@@ -295,8 +297,9 @@ def isomorphism_bound_check(b: CoefficientSequence, table_phi: MomentTable,
         lhs=lhs1, rhs=rhs1, constant_used=m1, ok=lhs1 <= rhs1 * (1.0 + _BOUND_TOL)
     )
     c_inv = K * math.e**2 * (2.0 * math.e * math.pi) ** n
-    g = inverse_map(d, table_phi)
-    lhs2 = norm_sq(g, table_phi)
+    if back is None:
+        back = inverse_map(d, table_phi)
+    lhs2 = norm_sq(back, table_phi)
     rhs2 = c_inv * lhs1  # ||G||^2 in the dual weight's norm
     report2 = BoundReport(
         lhs=lhs2, rhs=rhs2, constant_used=c_inv, ok=lhs2 <= rhs2 * (1.0 + _BOUND_TOL)
@@ -305,12 +308,15 @@ def isomorphism_bound_check(b: CoefficientSequence, table_phi: MomentTable,
 
 
 def roundtrip_ulp_error(b: CoefficientSequence, table_phi: MomentTable,
-                        d: Optional[CoefficientSequence] = None) -> float:
+                        d: Optional[CoefficientSequence] = None,
+                        back: Optional[CoefficientSequence] = None) -> float:
     """Max per-component ulp distance of inverse(forward(b)) from b; ``d``
-    is forward(b) when the caller already has it."""
-    if d is None:
-        d = forward_map(b, table_phi)
-    back = inverse_map(d, table_phi)
+    is forward(b) and ``back`` is inverse(d) when the caller already has
+    them."""
+    if back is None:
+        if d is None:
+            d = forward_map(b, table_phi)
+        back = inverse_map(d, table_phi)
     worst = 0.0
     for rec, ref in ((back.re, b.re), (back.im, b.im)):
         # np.spacing(|x|) is math.ulp(|x|)

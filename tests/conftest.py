@@ -31,6 +31,36 @@ def conjugate_bruteforce():
     return _conjugate_bruteforce
 
 
+def _hull_chain(y, f):
+    """Andrew's monotone chain over every sample, one pop test at a time: the
+    oracle `_scan.Hull` is compared against bit for bit. Returns the hull's
+    nodes, values and edge slopes."""
+    y = np.asarray(y, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64)
+    yv = memoryview(np.ascontiguousarray(y))
+    fv = memoryview(np.ascontiguousarray(f))
+    hull = np.empty(y.shape[0], dtype=np.intp)
+    hv = memoryview(hull)
+    h = 0
+    for i in range(y.shape[0]):
+        while h >= 2:
+            a = hv[h - 2]
+            b = hv[h - 1]
+            if (fv[b] - fv[a]) * (yv[i] - yv[a]) >= (fv[i] - fv[a]) * (yv[b] - yv[a]):
+                h -= 1
+            else:
+                break
+        hv[h] = i
+        h += 1
+    hull = hull[:h]
+    return y[hull], f[hull], np.diff(f[hull]) / np.diff(y[hull])
+
+
+@pytest.fixture(scope="session")
+def hull_chain():
+    return _hull_chain
+
+
 def _desc_sum(terms):
     arr = np.sort(np.asarray(list(terms), dtype=np.float64))[::-1]
     return float(arr.sum()) if arr.size else 0.0

@@ -123,6 +123,16 @@ def test_duality_maps_each_sequence_forward_once(tmp_path, monkeypatch):
     assert len(calls) == 100 and len({id(b) for b in calls}) == 100
 
 
+def test_duality_maps_each_sequence_back_once(tmp_path, monkeypatch):
+    calls = []
+    inverse = fd.duality.inverse_map
+    monkeypatch.setattr(fd.duality, "inverse_map",
+                        lambda d, table: calls.append(d) or inverse(d, table))
+    assert run_cli(["duality", "--weight-preset", "fock:1", "--degree", "2",
+                    "--out", str(tmp_path)]) == 0
+    assert len(calls) == 100 and len({id(d) for d in calls}) == 100
+
+
 def test_json_format(tmp_path):
     assert run_cli(["sandwich", "--weight-preset", "fock:1", "--format", "json",
                     "--out", str(tmp_path)]) == 0

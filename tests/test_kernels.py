@@ -69,3 +69,72 @@ def test_float_ties_match_bruteforce_bitwise():
     ref = np.max(x[:, None] * nodes[None, :] - vals[None, :], axis=1)
     assert np.array_equal(hull.conjugate(x), ref)
     assert np.array_equal(_scan.conjugate_lines(nodes, vals[None, :], x)[0], ref)
+
+
+def _samples(kind, n, seed, noise_exp):
+    """Strictly increasing nodes and values of one of four shapes."""
+    rng = np.random.default_rng(seed)
+    if kind == "collinear":
+        # quarter-step nodes and integer slopes: every product is exact, so
+        # the pop test meets its `>=` tie on each run of a line
+        y = np.arange(n) * 0.25 - float(rng.integers(0, 8))
+        s1, s2 = sorted(rng.integers(-4, 5, 2))
+        k = float(rng.integers(-2, 3))
+        return y, np.maximum(s1 * y, s2 * (y - k) + s1 * k)
+    y = np.cumsum(rng.uniform(0.01, 1.0, n)) - rng.uniform(0.0, n / 2)
+    if kind == "convex_noise":
+        return y, y * y + rng.uniform(-1.0, 1.0, n) * 10.0**noise_exp
+    if kind == "rounded":
+        return y, np.round(4.0 * y * y) / 4.0
+    return y, rng.standard_normal(n)
+
+
+@given(
+    kind=st.sampled_from(["convex_noise", "collinear", "random", "rounded"]),
+    n=st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+    noise_exp=st.floats(-16.0, 0.0),
+)
+@settings(max_examples=400, deadline=None)
+def test_hull_equals_the_sequential_chain_bitwise(hull_chain, kind, n, seed, noise_exp):
+    y, f = _samples(kind, n, seed, noise_exp)
+    hull = _scan.Hull(y, f)
+    for got, ref in zip((hull.y, hull.f, hull.slopes), hull_chain(y, f)):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("f", [[3.0], [1.0, -2.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
+                               [0.0, 1.0, 2.0]])
+def test_hull_of_one_two_and_three_nodes(hull_chain, f):
+    y = np.arange(len(f), dtype=np.float64)
+    hull = _scan.Hull(y, f)
+    for got, ref in zip((hull.y, hull.f, hull.slopes), hull_chain(y, f)):
+        assert np.array_equal(got, ref)
+
+
+def test_first_pop_at_the_first_triple(hull_chain):
+    # node 1 lies above the chord from node 0 to node 2; the rest is convex
+    y = np.arange(6, dtype=np.float64)
+    f = np.array([0.0, 1.0, 1.0, 2.0, 4.0, 7.0])
+    hull = _scan.Hull(y, f)
+    assert np.array_equal(hull.y, [0.0, 2.0, 3.0, 4.0, 5.0])
+    for got, ref in zip((hull.y, hull.f, hull.slopes), hull_chain(y, f)):
+        assert np.array_equal(got, ref)
+
+
+def test_first_pop_at_the_last_triple(hull_chain):
+    # convex up to node 4, which lies above the chord from node 3 to node 5
+    y = np.arange(6, dtype=np.float64)
+    f = np.array([0.0, 1.0, 4.0, 9.0, 16.0, 20.0])
+    hull = _scan.Hull(y, f)
+    assert np.array_equal(hull.y, [0.0, 1.0, 2.0, 3.0, 5.0])
+    for got, ref in zip((hull.y, hull.f, hull.slopes), hull_chain(y, f)):
+        assert np.array_equal(got, ref)
+
+
+def test_fock2_numeric_dual_table_keeps_every_node(hull_chain):
+    nodes, vals, hull = _NumericDual(parse_preset("fock:2"), DEFAULT)._axis_table(4.0)
+    assert len(nodes) == 32501
+    assert np.array_equal(hull.y, nodes) and np.array_equal(hull.f, vals)
+    ref = hull_chain(nodes, vals)
+    assert np.array_equal(hull.slopes, ref[2])
