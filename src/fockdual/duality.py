@@ -308,15 +308,11 @@ def isomorphism_bound_check(b: CoefficientSequence, table_phi: MomentTable,
 
 
 def roundtrip_ulp_error(b: CoefficientSequence, table_phi: MomentTable,
-                        d: Optional[CoefficientSequence] = None,
                         back: Optional[CoefficientSequence] = None) -> float:
-    """Max per-component ulp distance of inverse(forward(b)) from b; ``d``
-    is forward(b) and ``back`` is inverse(d) when the caller already has
-    them."""
+    """Max per-component ulp distance of inverse(forward(b)) from b;
+    ``back`` is inverse(forward(b)) when the caller already has it."""
     if back is None:
-        if d is None:
-            d = forward_map(b, table_phi)
-        back = inverse_map(d, table_phi)
+        back = inverse_map(forward_map(b, table_phi), table_phi)
     worst = 0.0
     for rec, ref in ((back.re, b.re), (back.im, b.im)):
         # np.spacing(|x|) is math.ulp(|x|)
