@@ -168,6 +168,15 @@ def scale_fn(fn: GridFn, c: float) -> GridFn:
     )
 
 
+def key_terms(key: tuple) -> tuple[int, int]:
+    """The number of terms of the weight a keyed grid function is made from,
+    and how many times `scale_fn` scaled it."""
+    scalings = 0
+    while key[0] == "scale":
+        key, scalings = key[1], scalings + 1
+    return len(key[1][1]), scalings
+
+
 def tilt(tensor: np.ndarray, y, axes: Sequence[np.ndarray], sign: float = 1.0) -> np.ndarray:
     """Add ``sign * y_j * a_j`` along axis j of a product-grid tensor, for
     every axis j, in place, and return the tensor.

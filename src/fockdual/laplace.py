@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT, NumericsConfig
-from .fenchel import (DivergenceError, GridFn, SupResult, memoized, tilt, truncated_sup,
-                      value_bytes)
+from .fenchel import (DivergenceError, GridFn, SupResult, key_terms, memoized, tilt,
+                      truncated_sup, value_bytes)
 
 
 @dataclass(frozen=True)
@@ -135,6 +135,87 @@ def _volume_window(spec: SublevelSpec,
     return tuple(window)
 
 
+def _cells(member: np.ndarray) -> tuple[int, int]:
+    """Member and surface cell counts of a membership grid; a surface cell
+    has a neighbour along some axis with the other membership."""
+    n = member.ndim
+    surface = np.zeros_like(member)
+    for j in range(n):
+        ahead = [slice(None)] * n
+        behind = [slice(None)] * n
+        ahead[j] = slice(1, None)
+        behind[j] = slice(None, -1)
+        flip = member[tuple(ahead)] != member[tuple(behind)]
+        surface[tuple(ahead)] |= flip
+        surface[tuple(behind)] |= flip
+    return int(np.count_nonzero(member)), int(np.count_nonzero(surface))
+
+
+def _spread(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Min and max of each entry of ``u`` and its neighbours."""
+    e = np.pad(u, 1, mode="edge")
+    return (np.minimum(np.minimum(e[:-2], e[1:-1]), e[2:]),
+            np.maximum(np.maximum(e[:-2], e[1:-1]), e[2:]))
+
+
+def _threshold_cells(c: np.ndarray, v: np.ndarray) -> tuple[int, int]:
+    """`_cells` of the grid member[i, k] = v[k] <= c[i], from the two vectors.
+
+    Cell (i, k) differs from a neighbour along axis 0 iff v[k] lies in
+    (min, max] of c over i and its neighbours (case A), and along axis 1
+    iff c[i] lies in [min, max) of v over k and its neighbours (case B).
+    Both cases are counted by binary search; the cells of A, as many as
+    the surface has, are listed and tested for B.
+    """
+    order = np.argsort(v, kind="stable")
+    sv = v[order]
+    count = int(np.searchsorted(sv, c, "right").sum())
+    c_lo, c_hi = _spread(c)
+    first = np.searchsorted(sv, c_lo, "right")
+    lengths = np.searchsorted(sv, c_hi, "right") - first
+    v_lo, v_hi = _spread(v)
+    sc = np.sort(c)
+    in_b = int((np.searchsorted(sc, v_hi, "left") - np.searchsorted(sc, v_lo, "left")).sum())
+    # the cells of A: row i holds the sorted positions first[i], ...,
+    # first[i] + lengths[i] - 1
+    rows = np.repeat(np.arange(c.shape[0]), lengths)
+    offsets = np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+    ks = order[offsets + np.arange(rows.shape[0])]
+    ci = c[rows]
+    in_both = int(np.count_nonzero((v_lo[ks] <= ci) & (ci < v_hi[ks])))
+    return count, int(lengths.sum()) + in_b - in_both
+
+
+def _separable_cells(spec: SublevelSpec,
+                     axes: Sequence[np.ndarray]) -> Optional[tuple[int, int]]:
+    """`_cells` of the 2-D membership grid of a keyed separable function from
+    one vector per axis, or None when a cell is too close to the threshold
+    to be certified (see `sublevel_volume`)."""
+    h, y = spec.h, spec.y
+    prof = [f(a) for f, a in zip(h.axis_profiles, axes)]
+    tilt_terms = [-y[j] * a for j, a in enumerate(axes)]
+    c = (spec.p - spec.hstar_y) - (prof[0] + tilt_terms[0])
+    v = prof[1] + tilt_terms[1]
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(v))):
+        return None
+    # the grid path's gap float rounds at most m times: 2 * terms sums of the
+    # power terms of both axes (`weights._terms_on_axes`), one product per
+    # scaling, then h*(y) and the two tilts; each vector here rounds fewer
+    terms, scalings = key_terms(h.key)
+    m = 2 * terms + scalings + 3
+    u = np.finfo(np.float64).eps / 2
+    # 2 gamma_m times the summed moduli of the inputs, with a safety factor
+    # of 2 (it also covers the rounding of c +- delta)
+    delta = 4 * (m * u / (1 - m * u)) * (
+        abs(spec.p) + abs(spec.hstar_y) + np.abs(prof[0]) + np.abs(tilt_terms[0])
+        + float(np.max(np.abs(prof[1]) + np.abs(tilt_terms[1]))))
+    sv = np.sort(v)
+    if np.any(np.searchsorted(sv, c + delta, "right")
+              > np.searchsorted(sv, c - delta, "left")):
+        return None
+    return _threshold_cells(c, v)
+
+
 def sublevel_volume(spec: SublevelSpec, method: str = "grid",
                     resolution: Optional[int] = None,
                     cfg: NumericsConfig = DEFAULT, seed: int = 0) -> VolumeEstimate:
@@ -160,6 +241,22 @@ def sublevel_volume(spec: SublevelSpec, method: str = "grid",
     cell has the same float. If the coarse pass finds no member or a face
     fails its check, or ``spec.h`` is not known to be convex (a weight
     given only by an evaluator), the whole grid is evaluated.
+
+    In 2-D, when ``spec.h`` is keyed and separable (`GridFn.key` and
+    `GridFn.axis_profiles` set: log images, symmetrizations and scalings of
+    weights made of power terms), no 2-D array is built at all. With
+    part_j = f(a_j) - y_j a_j on each whole-grid axis a_j, c = (p - h*(y))
+    - part_0 and v = part_1, cell (i, k) is a member iff v[k] <= c[i]; the
+    count and the surface come from the sorted vectors by binary search
+    (`_threshold_cells`). v[k] - c[i] and the gap float of the grid path
+    are two float sums of the same float inputs (the power terms' values,
+    h*(y), the products y_j a_j, p), so they differ by at most 2 gamma_m
+    times the sum of the inputs' moduli, m the longer number of roundings
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 4.2).
+    If any v[k] lies within twice that bound of c[i], the volume falls back
+    to the grid path; otherwise every cell has the grid path's membership,
+    and the count and the surface are the whole-grid integers. This rests
+    on the arithmetic alone, not on convexity.
     """
     if resolution is not None and resolution < 1:
         raise ValueError(f"volume resolution must be at least 1, got {resolution}")
@@ -184,24 +281,19 @@ def _sublevel_volume(spec: SublevelSpec, method: str, resolution: Optional[int],
         for j in range(n):
             step = (hi[j] - lo[j]) / cells
             axes.append(lo[j] + step * (np.arange(cells) + 0.5))
-        window = _volume_window(spec, axes) if spec.h.convex else None
-        if window is not None:
-            axes = [a[w] for a, w in zip(axes, window)]
-        member = _membership(spec, axes)
+        counts = None
+        if n == 2 and spec.h.key is not None and spec.h.axis_profiles is not None:
+            counts = _separable_cells(spec, axes)
+        if counts is None:
+            window = _volume_window(spec, axes) if spec.h.convex else None
+            if window is not None:
+                axes = [a[w] for a, w in zip(axes, window)]
+            counts = _cells(_membership(spec, axes))
+        count, surface = counts
         cell_vol = box_vol / cells**n
-        count = int(member.sum())
-        surface = np.zeros_like(member)
-        for j in range(n):
-            ahead = [slice(None)] * n
-            behind = [slice(None)] * n
-            ahead[j] = slice(1, None)
-            behind[j] = slice(None, -1)
-            flip = member[tuple(ahead)] != member[tuple(behind)]
-            surface[tuple(ahead)] |= flip
-            surface[tuple(behind)] |= flip
         return VolumeEstimate(
             value=count * cell_vol,
-            half_width=float(surface.sum()) * cell_vol,
+            half_width=float(surface) * cell_vol,
             method="grid",
             samples=cells**n,
         )

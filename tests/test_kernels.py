@@ -71,36 +71,68 @@ def test_float_ties_match_bruteforce_bitwise():
     assert np.array_equal(_scan.conjugate_lines(nodes, vals[None, :], x)[0], ref)
 
 
-def _samples(kind, n, seed, noise_exp):
-    """Strictly increasing nodes and values of one of four shapes."""
-    rng = np.random.default_rng(seed)
+def _nodes(quarter, n, rng):
+    """Strictly increasing nodes: quarter steps, or random gaps."""
+    if quarter:
+        return np.arange(n) * 0.25 - float(rng.integers(0, 8))
+    return np.cumsum(rng.uniform(0.01, 1.0, n)) - rng.uniform(0.0, n / 2)
+
+
+def _values(kind, y, rng, noise_exp):
+    """Values of one of four shapes on the nodes ``y``."""
     if kind == "collinear":
-        # quarter-step nodes and integer slopes: every product is exact, so
-        # the pop test meets its `>=` tie on each run of a line
-        y = np.arange(n) * 0.25 - float(rng.integers(0, 8))
+        # on quarter-step nodes with integer slopes every product is exact,
+        # so the pop test meets its `>=` tie on each run of a line
         s1, s2 = sorted(rng.integers(-4, 5, 2))
         k = float(rng.integers(-2, 3))
-        return y, np.maximum(s1 * y, s2 * (y - k) + s1 * k)
-    y = np.cumsum(rng.uniform(0.01, 1.0, n)) - rng.uniform(0.0, n / 2)
+        return np.maximum(s1 * y, s2 * (y - k) + s1 * k)
     if kind == "convex_noise":
-        return y, y * y + rng.uniform(-1.0, 1.0, n) * 10.0**noise_exp
+        return y * y + rng.uniform(-1.0, 1.0, y.shape[0]) * 10.0**noise_exp
     if kind == "rounded":
-        return y, np.round(4.0 * y * y) / 4.0
-    return y, rng.standard_normal(n)
+        return np.round(4.0 * y * y) / 4.0
+    return rng.standard_normal(y.shape[0])
 
 
 @given(
-    kind=st.sampled_from(["convex_noise", "collinear", "random", "rounded"]),
+    kinds=st.lists(st.sampled_from(["convex_noise", "collinear", "random", "rounded"]),
+                   min_size=1, max_size=5),
     n=st.integers(1, 80),
     seed=st.integers(0, 2**32 - 1),
     noise_exp=st.floats(-16.0, 0.0),
 )
 @settings(max_examples=400, deadline=None)
-def test_hull_equals_the_sequential_chain_bitwise(hull_chain, kind, n, seed, noise_exp):
-    y, f = _samples(kind, n, seed, noise_exp)
-    hull = _scan.Hull(y, f)
-    for got, ref in zip((hull.y, hull.f, hull.slopes), hull_chain(y, f)):
-        assert np.array_equal(got, ref)
+def test_hull_equals_the_sequential_chain_bitwise(hull_chain, kinds, n, seed, noise_exp):
+    # rows of several shapes over one node array, as `conjugate_lines` gets them
+    rng = np.random.default_rng(seed)
+    y = _nodes("collinear" in kinds, n, rng)
+    vals = np.array([_values(kind, y, rng, noise_exp) for kind in kinds])
+    x = rng.uniform(-2 * n, 2 * n, 7)
+    rows = list(_scan.row_hulls(y, vals))
+    assert len(rows) == len(kinds)
+    out = _scan.conjugate_lines(y, vals, x)
+    for f, row, got_x in zip(vals, rows, out):
+        hull = _scan.Hull(y, f)
+        ref = hull_chain(y, f)
+        for got_hull, got_row, want in zip((hull.y, hull.f, hull.slopes), row, ref):
+            assert np.array_equal(got_hull, want)
+            assert np.array_equal(got_row, want)
+        assert np.array_equal(got_x, hull.conjugate(x))
+
+
+def test_rows_in_several_pop_blocks(hull_chain, monkeypatch):
+    # blocks of three rows, so the 2-D pop test runs four times; rows 4 and
+    # 9 pop (a random row), the others are convex
+    monkeypatch.setattr(_scan, "_POP_BLOCK", 3 * 20)
+    rng = np.random.default_rng(11)
+    y = _nodes(False, 20, rng)
+    vals = np.array([_values("random" if r in (4, 9) else "convex_noise", y, rng, -8.0)
+                     for r in range(11)])
+    rows = list(_scan.row_hulls(y, vals))
+    assert len(rows) == 11
+    assert [len(row[0]) < 20 for row in rows] == [r in (4, 9) for r in range(11)]
+    for f, row in zip(vals, rows):
+        for got, want in zip(row, hull_chain(y, f)):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("f", [[3.0], [1.0, -2.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],

@@ -114,7 +114,9 @@ def test_nonconvex_weight_keeps_the_whole_grid(nonconvex_double):
 
 
 def test_empty_coarse_pass_keeps_the_whole_grid():
-    h = symmetrized_fn(fd.make_fock(2))
+    # without its axis profiles fock:2 takes the window path, not the
+    # per-axis count of test_volume_threshold.py
+    h = dataclasses.replace(symmetrized_fn(fd.make_fock(2)), axis_profiles=None)
     spec = _spec(h, [0.5, -0.5], 1.0)
     # 4 cells per axis: every 8th cell centre, from the 5th on, is no cell at all
     sizes = []
