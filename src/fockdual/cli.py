@@ -575,9 +575,13 @@ def main(argv=None) -> int:
             results = run_all(w, cfg, run)
         else:
             results = [_COMMANDS[args.command](w, cfg, run)]
-    except (fenchel.DivergenceError, WeightSpecError, ValueError) as exc:
+    except WeightSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (fenchel.DivergenceError, ValueError) as exc:
+        # a numeric failure or a resource guard (grid sizes), not bad usage
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     total = sum(r.wall_time for r in results)
     ok = all(r.passed for r in results)
     print(f"{'all checks passed' if ok else 'CHECK FAILURES'} "

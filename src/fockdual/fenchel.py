@@ -304,6 +304,25 @@ _EXPAND_CAP = 600.0
 # coarse search step of `_sup_line`, and the half-width of its fine window
 _COARSE = 0.25
 _WINDOW = 2 * _COARSE
+# node stride of the first pass over a concave objective's fine window
+_STRIDE = 32
+
+
+def _fine_nodes(lo: float, hi: float, intervals: int, a: int, b: int,
+                stride: int = 1) -> np.ndarray:
+    """``np.linspace(lo, hi, intervals + 1)[a:b:stride]`` for
+    ``0 <= a < b <= intervals + 1``, built from those indices alone with
+    numpy's formula (index times step plus ``lo``, the last node ``hi``),
+    so every node is the same float as in the whole grid."""
+    delta = float(hi) - float(lo)
+    step = delta / intervals
+    idx = np.arange(a, b, stride)
+    # numpy divides first when the step underflows to zero
+    nodes = idx / intervals * delta if step == 0 else idx * step
+    nodes += lo
+    if idx[-1] == intervals:
+        nodes[-1] = hi
+    return nodes
 
 
 def _finite(vals: np.ndarray) -> np.ndarray:
@@ -319,20 +338,30 @@ def _sup_line(objective: Callable[[np.ndarray], np.ndarray], cfg: NumericsConfig
     has dropped ``decay_budget`` below its running max on both ends; a
     floor pins the lower end (log-space degenerate directions approach
     their sup as t -> -inf, so the box stops at the configured floor).
-    The max is then taken on a fine power-of-two grid over the box.
+    The max is then taken on a fine power-of-two grid over the box. Each
+    pass builds only the nodes it reads (`_fine_nodes`), the same floats
+    as in the whole grid.
 
-    A ``concave`` objective evaluates only the fine nodes within two coarse
-    steps of the coarse argmax, plus one node on each side. A concave
-    function peaks within one coarse step of its coarse argmax, so the
-    fine max lies inside that window and every node outside it is lower.
-    The window is a slice of the same fine grid, so the value, the argmax
-    node, the parabolic lift and the box are the same floats as on the
-    whole grid. If the window's max lands on an edge where the window cut
-    the grid, the whole grid is evaluated after all. Only objectives
-    <y, t> - fn(t) with ``fn`` convex by construction (`GridFn.convex`)
-    are passed as concave: a weight given only by an evaluator need not be
-    convex, and a non-concave objective can have a local max in the window
-    below its global one.
+    A ``concave`` objective is read in two passes over the window of fine
+    nodes within two coarse steps of the coarse argmax, plus one node on
+    each side: every `_STRIDE`-th node of the window, then every node
+    within two strides of that pass's argmax. A concave function peaks
+    within one coarse step of its coarse argmax and within one stride of
+    its strided argmax, so the fine max lies inside the last span and
+    every node outside it is lower. The spans are slices of the same fine
+    grid, so the value, the argmax node, the parabolic lift and the box
+    are the same floats as on the whole grid. If a span's max lands on an
+    edge where the span cuts the grid, the next wider span is read: the
+    window, then the whole grid. Only objectives <y, t> - fn(t) with
+    ``fn`` convex by construction (`GridFn.convex`) are passed as concave:
+    a weight given only by an evaluator need not be convex, and a
+    non-concave objective can have a local max in a span below its global
+    one.
+
+    Which fine nodes are read never changes a numeric dual's table: the
+    table grows only with the largest |r| a query reads (``r.max()``), and
+    every fine node lies inside the coarse probe, which read that |r|
+    first.
     """
     budget = cfg.decay_budget
     lo = floor if floor is not None else -2.0
@@ -364,19 +393,23 @@ def _sup_line(objective: Callable[[np.ndarray], np.ndarray], cfg: NumericsConfig
     # power-of-two interval count: halving the step inserts exact midpoints,
     # so refinement never loses a node and residuals shrink monotonically
     intervals = 1 << max(1, math.ceil(math.log2((hi_box - lo_box) / step)))
-    fine = np.linspace(lo_box, hi_box, intervals + 1)
-    a, b = 0, len(fine)
+    count = intervals + 1
+    spans = [(0, count)]
     if concave:
         h = (hi_box - lo_box) / intervals
         a = max(math.floor((t[peak] - _WINDOW - lo_box) / h) - 1, 0)
-        b = min(math.ceil((t[peak] + _WINDOW - lo_box) / h) + 2, len(fine))
-    vals = _finite(objective(fine[a:b]))
-    k = int(np.argmax(vals))
-    if (k == 0 and a > 0) or (k == len(vals) - 1 and b < len(fine)):
-        a, b = 0, len(fine)
-        vals = _finite(objective(fine))
+        b = min(math.ceil((t[peak] + _WINDOW - lo_box) / h) + 2, count)
+        probe = _finite(objective(_fine_nodes(lo_box, hi_box, intervals, a, b, _STRIDE)))
+        mid = a + _STRIDE * int(np.argmax(probe))
+        spans = [(max(mid - 2 * _STRIDE, a), min(mid + 2 * _STRIDE + 1, b)), (a, b)] + spans
+    for a, b in spans:
+        nodes = _fine_nodes(lo_box, hi_box, intervals, a, b)
+        vals = _finite(objective(nodes))
         k = int(np.argmax(vals))
-    # past the fallback, k is interior to vals exactly when a + k is
+        # a max on an edge where the span cuts the grid: widen the span
+        if not ((k == 0 and a > 0) or (k == len(vals) - 1 and b < count)):
+            break
+    # past the widening, k is interior to vals exactly when a + k is
     # interior to the fine grid
     value = float(vals[k])
     if 0 < k < len(vals) - 1 and np.isfinite(vals[k - 1]) and np.isfinite(vals[k + 1]):
@@ -387,7 +420,7 @@ def _sup_line(objective: Callable[[np.ndarray], np.ndarray], cfg: NumericsConfig
         den = float(vals[k + 1] - 2.0 * vals[k] + vals[k - 1])
         if den < 0.0:
             value += num * num / (-8.0 * den)
-    return value, float(fine[a + k]), lo_box, hi_box
+    return value, float(nodes[k]), lo_box, hi_box
 
 
 def _coordinate_argmax(fn: GridFn, y: np.ndarray, cfg: NumericsConfig,

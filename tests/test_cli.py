@@ -53,6 +53,15 @@ def test_sublinear_weight_exits_2(tmp_path):
                     "--out", str(tmp_path / "out")]) == 2
 
 
+def test_numeric_failure_exits_3(tmp_path, capsys):
+    # a valid weight whose numeric dual cannot be conjugated: a failure of
+    # the numerics, not of the command line
+    mixed2 = Path(__file__).resolve().parents[1] / "fdbench" / "weights" / "mixed2.json"
+    assert run_cli(["identities", "--weight", str(mixed2),
+                    "--out", str(tmp_path / "out")]) == 3
+    assert "objective does not decay" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cells", ["0", "-4"])
 def test_nonpositive_volume_cells_is_a_usage_error(tmp_path, capsys, cells):
     assert run_cli(["sandwich", "--weight-preset", "fock:1", "--volume-cells", cells,

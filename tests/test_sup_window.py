@@ -1,7 +1,8 @@
-"""The fine pass of `_sup_line` evaluates only a window around the coarse
-argmax for objectives concave by construction; these tests pin that it
-gives the same floats as the whole fine grid, how many nodes it evaluates,
-that weights not known to be convex keep the whole grid, and the fallback."""
+"""The fine passes of `_sup_line` build and evaluate only a strided window
+and a span around its argmax for objectives concave by construction; these
+tests pin that they give the same floats as the whole fine grid, that each
+node is the linspace float, how many nodes are built and evaluated, that
+weights not known to be convex keep the whole grid, and the fallback."""
 
 import dataclasses
 import math
@@ -9,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fockdual as fd
 from fockdual import cli, fenchel
-from fockdual.fenchel import _sup_line, log_image, scale_fn, symmetrized_fn, truncated_sup
+from fockdual.fenchel import (_fine_nodes, _sup_line, log_image, scale_fn, symmetrized_fn,
+                              truncated_sup)
 
 SEP1_WEIGHT = Path(__file__).resolve().parents[1] / "fdbench" / "weights" / "sep1.json"
 CFG = fd.DEFAULT
@@ -20,9 +24,11 @@ CFG = fd.DEFAULT
 
 @pytest.fixture
 def memo(monkeypatch):
-    """An empty memo for this test, so every sup is computed here."""
+    """An empty memo and line store for this test, so every sup is computed
+    here."""
     store = {}
     monkeypatch.setattr(fenchel, "_MEMO", store)
+    monkeypatch.setattr(fenchel, "_LINES", {})
     return store
 
 
@@ -41,45 +47,87 @@ def _weights():
             fd.numeric_dual_weight(sep1)]
 
 
+def _moment_objective(w):
+    return scale_fn(log_image(w), 2.0)
+
+
 @pytest.mark.parametrize("w", _weights(), ids=lambda w: w.label)
 def test_window_equals_whole_grid_bitwise(memo, w):
     checked = 0
-    for make in (log_image, symmetrized_fn):
-        fn = make(w)
-        assert fn.convex
-        whole = dataclasses.replace(fn, convex=False, key=None)
-        for floor in (None, CFG.t_floor):
-            for y in (0.0, 1.37, 6.0):
-                if make is log_image and floor is None and y == 0.0:
-                    # sup approached only as t -> -inf: no floor, no box
-                    with pytest.raises(fenchel.DivergenceError):
-                        truncated_sup(fn, [y], CFG, floor)
-                    continue
-                # the first call grows a numeric dual's table; the two
-                # compared calls then see the same table
-                truncated_sup(whole, [y], CFG, floor)
-                windowed = truncated_sup(fn, [y], CFG, floor)
-                assert _sup_bits(windowed) == _sup_bits(truncated_sup(whole, [y], CFG, floor))
-                checked += 1
-    assert checked == 11
+    for cfg in (CFG, CFG.refined(1), CFG.refined(2)):
+        for make in (log_image, symmetrized_fn, _moment_objective):
+            fn = make(w)
+            assert fn.convex
+            whole = dataclasses.replace(fn, convex=False, key=None)
+            for floor in (None, cfg.t_floor):
+                for y in (0.0, 1.37, 6.0):
+                    if make is not symmetrized_fn and floor is None and y == 0.0:
+                        # sup approached only as t -> -inf: no floor, no box
+                        with pytest.raises(fenchel.DivergenceError):
+                            truncated_sup(fn, [y], cfg, floor)
+                        continue
+                    # the first call grows a numeric dual's table; the two
+                    # compared calls then see the same table
+                    truncated_sup(whole, [y], cfg, floor)
+                    windowed = truncated_sup(fn, [y], cfg, floor)
+                    assert _sup_bits(windowed) == _sup_bits(truncated_sup(whole, [y], cfg, floor))
+                    checked += 1
+    assert checked == 48
 
 
-def test_window_evaluates_few_fine_nodes():
+def test_window_evaluates_few_fine_nodes(monkeypatch):
+    built = []
+
+    def building(make):
+        def wrapper(*args, **kwargs):
+            built.append(make(*args, **kwargs))
+            return built[-1]
+        return wrapper
+
+    monkeypatch.setattr(fenchel, "_fine_nodes", building(_fine_nodes))
+    monkeypatch.setattr(np, "linspace", building(np.linspace))
     prof = log_image(fd.make_fock(1)).axis_profiles[0]
     step = CFG.conj_step_1d
     for y, floor in ((1.37, CFG.t_floor), (0.0, CFG.t_floor), (3.8, None)):
-        sizes = []
+        built.clear()
+        inputs = []
 
         def counting(t, y=y):
-            sizes.append(t.size)
+            inputs.append(t)
             return y * t - prof(t)
 
         _, _, lo, hi = _sup_line(counting, CFG, step, floor, concave=True)
         intervals = 1 << max(1, math.ceil(math.log2((hi - lo) / step)))
         fine_step = (hi - lo) / intervals
-        # the last call is the fine pass: two coarse steps either side
+        sizes = [t.size for t in inputs]
+        # the last call is the last fine pass: two strides either side
         assert sizes[-1] <= 4 * 0.25 / fine_step + 8
         assert sizes[-1] < (intervals + 1) / 10
+        assert sizes[-1] <= 4 * fenchel._STRIDE + 8
+        # every fine node built is evaluated
+        read = [t for t in inputs if any(t is b for b in built)]
+        assert sum(b.size for b in built) <= sum(t.size for t in read)
+
+
+@given(
+    # subnormal ends make steps that underflow to zero, which numpy handles
+    # apart
+    ends=st.lists(st.floats(-1e300, 1e300) | st.floats(-1e-320, 1e-320),
+                  min_size=2, max_size=2),
+    k=st.integers(0, 20),
+    stride=st.sampled_from([1, 32]),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_fine_nodes_equal_the_linspace_slice_bitwise(ends, k, stride, data):
+    lo, hi = sorted(ends)
+    assume(lo < hi)
+    count = 2**k + 1
+    a = data.draw(st.integers(0, count - 1), label="a")
+    # half the windows end at the last node, which linspace sets to hi
+    b = data.draw(st.one_of(st.just(count), st.integers(a + 1, count)), label="b")
+    want = np.linspace(lo, hi, count)[a:b:stride]
+    assert _fine_nodes(lo, hi, count - 1, a, b, stride).tobytes() == want.tobytes()
 
 
 def test_nonconvex_weight_keeps_the_whole_grid(nonconvex_double):
@@ -113,6 +161,29 @@ def test_window_max_on_a_cut_edge_falls_back_to_the_whole_grid():
     assert oracle[1] > 1.9
     got = _sup_line(objective, CFG, CFG.conj_step_1d, None, concave=True)
     assert _bits(*got) == _bits(*oracle)
+
+
+def test_span_max_on_a_cut_edge_widens_to_the_window():
+    # declared concave but not: the strided pass reads a peak at t = 0,
+    # every other pass a peak at t = 0.2, inside the window but more than
+    # two strides away, so the span around 0 is cut at its max
+    sizes = []
+
+    def objective(t):
+        sizes.append(t.size)
+        spacing = t[1] - t[0] if t.size > 1 else 1.0
+        centre = 0.0 if 0.001 < spacing < 0.2 else 0.2
+        return -50.0 * np.abs(t - centre)
+
+    oracle = _sup_line(objective, CFG, CFG.conj_step_1d, None, concave=False)
+    count = sizes[-1]
+    sizes.clear()
+    got = _sup_line(objective, CFG, CFG.conj_step_1d, None, concave=True)
+    assert _bits(*got) == _bits(*oracle)
+    assert abs(got[1] - 0.2) < 1e-3
+    # the span, then the window; never the whole grid
+    assert sizes[-2] <= 4 * fenchel._STRIDE + 8
+    assert 4 * fenchel._STRIDE + 8 < sizes[-1] < count
 
 
 def test_convexity_follows_the_construction(nonsmooth_convex):
