@@ -65,7 +65,6 @@ from .moments import (
 )
 from .weights import (
     ClassVReport,
-    ClassVSampling,
     PowerTerm,
     WeightFunction,
     WeightSpecError,

@@ -3,8 +3,9 @@
 One subcommand per library module plus ``all``; each runs that module's
 checks on the configured weight and writes CSV or JSON reports. Exit code
 0 means every check passed, 1 means a check failed, 2 means the
-configuration or usage was invalid. Reports are deterministic: same
-config and seed give byte-identical files.
+configuration or usage was invalid, 3 means the numerics failed (an
+objective that does not decay, a grid-size guard). Reports are
+deterministic: same config and seed give byte-identical files.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ class RunConfig:
 @dataclass
 class SuiteResult:
     command: str
+    run: RunConfig
     checks: list = field(default_factory=list)  # (check_id, passed, detail)
     artifacts: list = field(default_factory=list)
     wall_time: float = 0.0
@@ -75,6 +77,11 @@ class SuiteResult:
         self.checks.append((check_id, bool(ok), detail))
         print(f"[{'PASS' if ok else 'FAIL'}] {self.command}:{check_id}"
               + (f" ({detail})" if detail else ""))
+
+    def table(self, name: str, header: list, rows: list) -> None:
+        """Write a report table to the run's output directory and record it."""
+        path = write_table(Path(self.run.out_dir), name, header, rows, self.run.fmt)
+        self.artifacts.append(str(path))
 
 
 def load_weight(run: RunConfig) -> WeightFunction:
@@ -122,14 +129,6 @@ def write_table(out_dir: Path, name: str, header: list, rows: list, fmt: str) ->
     return path
 
 
-def _emit_checks(result: SuiteResult, out_dir: Path, fmt: str) -> None:
-    path = write_table(
-        out_dir, f"{result.command}_checks", ["check_id", "passed", "detail"],
-        result.checks, fmt,
-    )
-    result.artifacts.append(str(path))
-
-
 def _probe_points(n: int) -> list:
     axis = _PROBES_1D if n == 1 else _PROBES_AXIS_2D if n == 2 else _PROBES_AXIS_3D
     return [list(p) for p in itertools.product(axis, repeat=n)]
@@ -150,11 +149,26 @@ def _axis_weight(w: WeightFunction) -> WeightFunction:
 # subcommands
 
 
-def cmd_conjugate(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> SuiteResult:
-    t0 = time.perf_counter()
-    result = SuiteResult("conjugate")
-    out_dir = Path(run.out_dir)
+def _suite(body):
+    """The suite command ``cmd_<name>(w, cfg, run) -> SuiteResult`` around
+    ``body(result, w, cfg, run)``: it times the body and writes the checks
+    table after it."""
+    name = body.__name__.removeprefix("cmd_")
 
+    def command(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> SuiteResult:
+        t0 = time.perf_counter()
+        result = SuiteResult(name, run)
+        body(result, w, cfg, run)
+        result.table(f"{name}_checks", ["check_id", "passed", "detail"], result.checks)
+        result.wall_time = time.perf_counter() - t0
+        return result
+
+    return command
+
+
+@_suite
+def cmd_conjugate(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
+                  run: RunConfig) -> None:
     report = weights.validate_class_V(w)
     result.add(
         "class_v",
@@ -182,9 +196,7 @@ def cmd_conjugate(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> Sui
         # the non-separable numeric dual samples on a much coarser grid
         tol = 1e-6 if w.is_separable else 1e-3
         result.add("closed_form_match", worst <= tol, f"max_abs_diff={float(worst)!r}")
-    result.artifacts.append(
-        str(write_table(out_dir, "conjugate_dual_table", header, rows, run.fmt))
-    )
+    result.table("conjugate_dual_table", header, rows)
 
     # log-substituted conjugate table on the same dual grid
     if w.is_separable:
@@ -199,12 +211,8 @@ def cmd_conjugate(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> Sui
     rows = [
         tuple(c) + (v,) for c, v in zip(coords, log_tensor.ravel())
     ]
-    result.artifacts.append(
-        str(write_table(
-            out_dir, "conjugate_log_dual_table",
-            [f"x_{j + 1}" for j in range(w.n)] + ["value"], rows, run.fmt,
-        ))
-    )
+    result.table("conjugate_log_dual_table", [f"x_{j + 1}" for j in range(w.n)] + ["value"],
+                 rows)
 
     # grid transform invariants: Fenchel-Young and biconjugation
     counts = {1: 321, 2: 97}.get(w.n, 25)
@@ -248,16 +256,10 @@ def cmd_conjugate(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> Sui
         f"residual={resid!r} bound={(2.0 * bound)!r}",
     )
 
-    _emit_checks(result, out_dir, run.fmt)
-    result.wall_time = time.perf_counter() - t0
-    return result
 
-
-def cmd_identities(w: WeightFunction, cfg: NumericsConfig, run: RunConfig,
-                   expect_convex: bool = True) -> SuiteResult:
-    t0 = time.perf_counter()
-    result = SuiteResult("identities")
-    out_dir = Path(run.out_dir)
+@_suite
+def cmd_identities(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
+                   run: RunConfig) -> None:
     tol = run.tol_identity if run.tol_identity is not None else cfg.tol_identity
     probes = _probe_points(w.n)
 
@@ -272,33 +274,32 @@ def cmd_identities(w: WeightFunction, cfg: NumericsConfig, run: RunConfig,
     for pt, lhs, rhs in zip(rep3.points, rep3.lhs, rep3.rhs):
         rows.append(("prop3",) + pt + (lhs, rhs, lhs - rhs))
 
-    if expect_convex:
-        rep67 = rep3
-        if not rep67.max_abs_residual <= tol:
-            # one grid refinement before declaring failure
-            rep67 = fenchel.verify_identities(w, probes, cfg.refined())
-        ok = rep67.max_abs_residual <= tol
+    rep67 = rep3
+    if not rep67.max_abs_residual <= tol:
+        # one grid refinement before declaring failure
+        rep67 = fenchel.verify_identities(w, probes, cfg.refined())
+    ok = rep67.max_abs_residual <= tol
+    result.add(
+        "prop6_7", ok, f"max_abs_residual={rep67.max_abs_residual!r}",
+    )
+    for pt, lhs, rhs in zip(rep67.points, rep67.lhs, rep67.rhs):
+        rows.append(("prop6_7",) + pt + (lhs, rhs, lhs - rhs))
+    if run.refine:
+        # the refined report, unless the retry above has made it already
+        fine = rep67 if rep67 is not rep3 else fenchel.verify_identities(
+            w, probes, cfg.refined())
+        base = rep67.max_abs_residual
+        shrink = base / fine.max_abs_residual if fine.max_abs_residual > 0 else math.inf
         result.add(
-            "prop6_7", ok, f"max_abs_residual={rep67.max_abs_residual!r}",
+            "refine_shrink",
+            base <= 1e-12 or shrink >= cfg.refine_shrink,
+            f"shrink={shrink!r}",
         )
-        for pt, lhs, rhs in zip(rep67.points, rep67.lhs, rep67.rhs):
-            rows.append(("prop6_7",) + pt + (lhs, rhs, lhs - rhs))
-        if run.refine:
-            # the refined report, unless the retry above has made it already
-            fine = rep67 if rep67 is not rep3 else fenchel.verify_identities(
-                w, probes, cfg.refined())
-            base = rep67.max_abs_residual
-            shrink = base / fine.max_abs_residual if fine.max_abs_residual > 0 else math.inf
-            result.add(
-                "refine_shrink",
-                base <= 1e-12 or shrink >= cfg.refine_shrink,
-                f"shrink={shrink!r}",
-            )
-    result.artifacts.append(str(write_table(
-        out_dir, "identities_residuals",
+    result.table(
+        "identities_residuals",
         ["check_id"] + [f"x_{j + 1}" for j in range(w.n)] + ["lhs", "rhs", "residual"],
-        rows, run.fmt,
-    )))
+        rows,
+    )
 
     dirs = list(np.eye(w.n))
     if w.n > 1:
@@ -320,14 +321,7 @@ def cmd_identities(w: WeightFunction, cfg: NumericsConfig, run: RunConfig,
                f"sups={list(prof.witness_sups)!r}")
     div_rows = [("ratio", r, v) for r, v in prof.rows]
     div_rows += [("witness", r, s) for r, s in zip(radii, prof.witness_sups)]
-    result.artifacts.append(str(write_table(
-        out_dir, "identities_divergence", ["kind", "radius", "value"],
-        div_rows, run.fmt,
-    )))
-
-    _emit_checks(result, out_dir, run.fmt)
-    result.wall_time = time.perf_counter() - t0
-    return result
+    result.table("identities_divergence", ["kind", "radius", "value"], div_rows)
 
 
 def _sandwich_grid(n: int) -> list:
@@ -336,10 +330,9 @@ def _sandwich_grid(n: int) -> list:
     return [list(p) for p in itertools.product(axis, repeat=n)]
 
 
-def cmd_sandwich(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> SuiteResult:
-    t0 = time.perf_counter()
-    result = SuiteResult("sandwich")
-    out_dir = Path(run.out_dir)
+@_suite
+def cmd_sandwich(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
+                 run: RunConfig) -> None:
     h = fenchel.symmetrized_fn(w)
     rows = []
     all_ok = True
@@ -355,28 +348,22 @@ def cmd_sandwich(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> Suit
             rep.hstar_y, rep.ratio, rep.verdict,
         ))
     result.add("theorem_b", all_ok, f"worst_rel_error={float(worst_err)!r}")
-    result.artifacts.append(str(write_table(
-        out_dir, "sandwich_table",
+    result.table(
+        "sandwich_table",
         [f"y_{j + 1}" for j in range(w.n)]
         + ["integral", "volume", "half_width", "hstar", "ratio", "verdict"],
-        rows, run.fmt,
-    )))
-    _emit_checks(result, out_dir, run.fmt)
-    result.wall_time = time.perf_counter() - t0
-    return result
+        rows,
+    )
 
 
-def cmd_moments(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> SuiteResult:
-    t0 = time.perf_counter()
-    result = SuiteResult("moments")
-    out_dir = Path(run.out_dir)
+@_suite
+def cmd_moments(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
+                run: RunConfig) -> None:
     table = moments.moment_table(w, run.max_degree, cfg)
-    path = out_dir / ("moments_table.csv" if run.fmt == "csv" else "moments_table.json")
+    out_dir = Path(run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if run.fmt == "csv":
-        table.to_csv(path)
-    else:
-        table.to_json(path)
+    path = out_dir / f"moments_table.{run.fmt}"
+    (table.to_csv if run.fmt == "csv" else table.to_json)(path)
     result.artifacts.append(str(path))
 
     check_rows = []
@@ -396,12 +383,12 @@ def cmd_moments(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> Suite
         )
     result.add("lemma2", lemma2_ok)
     result.add("lemma4", lemma4_ok)
-    result.artifacts.append(str(write_table(
-        out_dir, "moments_checks_detail",
+    result.table(
+        "moments_checks_detail",
         ["check_id"] + [f"alpha_{j + 1}" for j in range(w.n)]
         + ["bound_ln", "value_ln", "passed"],
-        check_rows, run.fmt,
-    )))
+        check_rows,
+    )
 
     if w.label.startswith("fock:"):
         worst = 0.0
@@ -420,15 +407,10 @@ def cmd_moments(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> Suite
             f"floor_ln={g.floor_ln!r}",
         )
 
-    _emit_checks(result, out_dir, run.fmt)
-    result.wall_time = time.perf_counter() - t0
-    return result
 
-
-def cmd_duality(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> SuiteResult:
-    t0 = time.perf_counter()
-    result = SuiteResult("duality")
-    out_dir = Path(run.out_dir)
+@_suite
+def cmd_duality(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
+                run: RunConfig) -> None:
     w_star = fenchel.dual_weight(w, cfg)
     table = moments.moment_table(w, run.max_degree, cfg)
     table_star = moments.moment_table(w_star, run.max_degree, cfg)
@@ -440,12 +422,10 @@ def cmd_duality(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> Suite
     krep = duality.k_condition_scan(w, scan_alphas, cfg, phi_dual=w_star)
     result.add("k_condition", all(p > 0 for p in krep.products.values()),
                f"K_hat={krep.K_hat!r}")
-    result.artifacts.append(str(write_table(
-        out_dir, "duality_kscan",
-        [f"alpha_{j + 1}" for j in range(w.n)] + ["product"],
+    result.table(
+        "duality_kscan", [f"alpha_{j + 1}" for j in range(w.n)] + ["product"],
         [a.components + (p,) for a, p in sorted(krep.products.items())],
-        run.fmt,
-    )))
+    )
 
     stirling_rows = []
     stirling_ok = True
@@ -456,11 +436,11 @@ def cmd_duality(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> Suite
             alpha.components + (rep.ln_ratio, rep.ln_lower, rep.ok)
         )
     result.add("stirling_envelope", stirling_ok)
-    result.artifacts.append(str(write_table(
-        out_dir, "duality_stirling",
+    result.table(
+        "duality_stirling",
         [f"alpha_{j + 1}" for j in range(w.n)] + ["ln_ratio", "ln_lower", "passed"],
-        stirling_rows, run.fmt,
-    )))
+        stirling_rows,
+    )
 
     rng = np.random.default_rng(run.seed)
     bound_rows = []
@@ -485,16 +465,12 @@ def cmd_duality(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> Suite
     result.add("bounds_inverse", inverse_ok)
     result.add("roundtrip_ulp", ulp_worst <= 4.0, f"worst_ulp={ulp_worst!r}")
     result.add("norm_identity_consistency", eq1_worst <= 1e-12, f"worst_rel={eq1_worst!r}")
-    result.artifacts.append(str(write_table(
-        out_dir, "duality_bounds",
+    result.table(
+        "duality_bounds",
         ["seq", "lhs_forward", "rhs_forward", "ok_forward",
          "lhs_inverse", "rhs_inverse", "ok_inverse"],
-        bound_rows, run.fmt,
-    )))
-
-    _emit_checks(result, out_dir, run.fmt)
-    result.wall_time = time.perf_counter() - t0
-    return result
+        bound_rows,
+    )
 
 
 _COMMANDS = {
@@ -515,11 +491,7 @@ def run_all(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> list:
         for r in results
         for check_id, ok, _ in r.checks
     ]
-    path = write_table(
-        Path(run.out_dir), "summary", ["command", "check_id", "passed"],
-        summary, run.fmt,
-    )
-    results[-1].artifacts.append(str(path))
+    results[-1].table("summary", ["command", "check_id", "passed"], summary)
     return results
 
 
@@ -536,8 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to a JSON weight spec")
         p.add_argument("--weight-preset", dest="weight_preset", default=None,
                        help="catalog weight, e.g. fock:2 or power:4:1")
-        p.add_argument("--degree", type=int, default=8,
-                       help="moment/scan truncation degree")
+        p.add_argument("--degree", dest="max_degree", metavar="DEGREE", type=int,
+                       default=8, help="moment/scan truncation degree")
         p.add_argument("--out", dest="out_dir", default="fockdual-out")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=0)
@@ -551,30 +523,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    opts = vars(build_parser().parse_args(argv))
+    command = opts.pop("command")
     try:
-        run = RunConfig(
-            weight_path=args.weight_path,
-            weight_preset=args.weight_preset,
-            max_degree=args.degree,
-            out_dir=args.out_dir,
-            fmt=args.fmt,
-            seed=args.seed,
-            refine=args.refine,
-            volume_cells=args.volume_cells,
-            tol_identity=args.tol_identity,
-        )
+        run = RunConfig(**opts)
         w = load_weight(run)
     except WeightSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     cfg = numerics_for(run)
     try:
-        if args.command == "all":
+        if command == "all":
             results = run_all(w, cfg, run)
         else:
-            results = [_COMMANDS[args.command](w, cfg, run)]
+            results = [_COMMANDS[command](w, cfg, run)]
     except WeightSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -270,28 +270,23 @@ class SupResult:
 
 
 # Per-process memo of sups, sublevel volumes and Laplace integrals of keyed
-# objectives; each entry is a small result object, and a run holds a few
-# hundred of them.
+# objectives, and of the 1-D line sups of keyed separable objectives, one per
+# axis coordinate (see `_truncated_sup`); each entry is a small result object,
+# and a run holds a few hundred of them.
 _MEMO: dict = {}
-# Per-process store of the 1-D line sups of keyed separable objectives, one
-# per axis coordinate (see `_truncated_sup`); kept apart from `_MEMO`.
-_LINES: dict = {}
 
 
-def memoized(fn_key: Optional[tuple], inputs: tuple, compute: Callable[[], object],
-             store: Optional[dict] = None):
+def memoized(fn_key: Optional[tuple], inputs: tuple, compute: Callable[[], object]):
     """``compute()``, computed once per process for each objective key and
     the remaining ``inputs`` that decide its result; an objective without a
-    key (``fn_key`` None) is never memoized. ``store`` defaults to `_MEMO`."""
+    key (``fn_key`` None) is never memoized."""
     if fn_key is None:
         return compute()
-    if store is None:
-        store = _MEMO
     key = (fn_key,) + inputs
     try:
-        return store[key]
+        return _MEMO[key]
     except KeyError:
-        out = store[key] = compute()
+        out = _MEMO[key] = compute()
         return out
 
 
@@ -541,9 +536,8 @@ def _truncated_sup(fn: GridFn, y: np.ndarray, cfg: NumericsConfig,
         # every axis of a keyed function has one profile, so a line depends on
         # the axis coordinate alone
         lines = [
-            memoized(fn.key, (value_bytes(y[j]), cfg, floor),
-                     lambda p=prof, yj=y[j]: _axis_line(p, yj, cfg, step, floor, fn.convex),
-                     store=_LINES)
+            memoized(fn.key, ("line", value_bytes(y[j]), cfg, floor),
+                     lambda p=prof, yj=y[j]: _axis_line(p, yj, cfg, step, floor, fn.convex))
             for j, prof in enumerate(fn.axis_profiles)
         ]
         total = 0.0
@@ -590,12 +584,13 @@ class _NumericDual:
         self.w = w
         self.cfg = cfg
         self.n = w.n
-        self._axis_samples: Optional[tuple[np.ndarray, np.ndarray, Hull]] = None
-        self._nd_samples: Optional[tuple[list[np.ndarray], np.ndarray]] = None
-        # largest r_max each table is known to serve: the extent grows with
+        # (nodes, values, hull): the axis profile on [0, extent] with its lower
+        # hull for a separable weight; else one node axis, the weight on its
+        # n-fold product grid, and no hull
+        self._samples: Optional[tuple[np.ndarray, np.ndarray, Optional[Hull]]] = None
+        # largest r_max the table is known to serve: the extent grows with
         # r_max, so a query at or below it needs no extent sup
-        self._axis_reach = -math.inf
-        self._nd_reach = -math.inf
+        self._reach = -math.inf
 
     def _primal_extent(self, r_max: float) -> float:
         fn = symmetrized_fn(self.w)
@@ -614,34 +609,26 @@ class _NumericDual:
         )
         return hi
 
-    def _axis_table(self, r_max: float) -> tuple[np.ndarray, np.ndarray, Hull]:
-        """Per-axis samples reaching far enough for duals up to ``r_max``,
-        with their lower hull; both are rebuilt only when the extent grows."""
-        if not r_max <= self._axis_reach:
+    def _table(self, r_max: float) -> tuple[np.ndarray, np.ndarray, Optional[Hull]]:
+        """Samples reaching far enough for duals up to ``r_max``; they are
+        rebuilt only when the extent grows."""
+        if not r_max <= self._reach:
             extent = self._primal_extent(r_max)
-            if self._axis_samples is None or self._axis_samples[0][-1] < extent - 1e-12:
-                step = self.cfg.step_for(1, separable=True)
+            if self._samples is None or self._samples[0][-1] < extent - 1e-12:
+                sep = self.w.is_separable
+                step = (self.cfg.step_for(1, separable=True) if sep
+                        else max(self.cfg.conj_step_nd, extent / 1200))
                 nodes = np.linspace(0.0, extent, int(math.ceil(extent / step)) + 1)
-                vals = self.w.axis_profile()(nodes)
-                self._axis_samples = (nodes, vals, Hull(nodes, vals))
-            self._axis_reach = r_max
-        return self._axis_samples
-
-    def _nd_table(self, r_max: float) -> tuple[list[np.ndarray], np.ndarray]:
-        if not r_max <= self._nd_reach:
-            extent = self._primal_extent(r_max)
-            if self._nd_samples is None or self._nd_samples[0][0][-1] < extent - 1e-12:
-                step = max(self.cfg.conj_step_nd, extent / 1200)
-                nodes = np.linspace(0.0, extent, int(math.ceil(extent / step)) + 1)
-                axes = [nodes] * self.n
-                self._nd_samples = (axes, self.w.eval_on_axes(axes))
-            self._nd_reach = r_max
-        return self._nd_samples
+                vals = (self.w.axis_profile()(nodes) if sep
+                        else self.w.eval_on_axes([nodes] * self.n))
+                self._samples = (nodes, vals, Hull(nodes, vals) if sep else None)
+            self._reach = r_max
+        return self._samples
 
     def profile(self, r: np.ndarray) -> np.ndarray:
         """Per-axis conjugate at |r|, for separable weights."""
         r = np.abs(np.asarray(r, dtype=np.float64))
-        _, _, hull = self._axis_table(float(r.max()) if r.size else 1.0)
+        _, _, hull = self._table(float(r.max()) if r.size else 1.0)
         return hull.conjugate(r)
 
     def eval(self, pts: np.ndarray) -> np.ndarray:
@@ -649,14 +636,13 @@ class _NumericDual:
         out_shape = pts.shape[:-1]
         flat = pts.reshape(-1, self.n)
         r_max = float(flat.max()) if flat.size else 1.0
-        if self.w.is_separable:
-            _, _, hull = self._axis_table(r_max)
+        p_nodes, vals, hull = self._table(r_max)
+        if hull is not None:
             total = np.zeros(flat.shape[0])
             for j in range(self.n):
                 total += hull.conjugate(flat[:, j])
             return total.reshape(out_shape)
-        axes, vals = self._nd_table(r_max)
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*([p_nodes] * self.n), indexing="ij")
         nodes = np.stack([m.ravel() for m in mesh], axis=1)
         flat_vals = vals.ravel()
         out = np.empty(flat.shape[0])
@@ -668,12 +654,11 @@ class _NumericDual:
     def eval_on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         axes = [np.abs(np.asarray(a, dtype=np.float64)) for a in axes]
         r_max = max(float(a.max()) for a in axes)
-        if self.w.is_separable:
-            _, _, hull = self._axis_table(r_max)
+        p_nodes, vals, hull = self._table(r_max)
+        if hull is not None:
             return add_on_axes(np.zeros(tuple(len(a) for a in axes)),
                                [hull.conjugate(a) for a in axes])
-        p_axes, vals = self._nd_table(r_max)
-        return conjugate_values(p_axes, vals, axes)
+        return conjugate_values([p_nodes] * self.n, vals, axes)
 
 
 def numeric_dual_weight(w: WeightFunction, cfg: NumericsConfig = DEFAULT) -> WeightFunction:

@@ -24,10 +24,10 @@ import numpy as np
 from .config import DEFAULT, NumericsConfig
 from .fenchel import log_image, scale_fn, truncated_sup
 from .laplace import (
-    SublevelSpec,
     VolumeEstimate,
     default_volume_method,
     laplace_integral,
+    make_sublevel_spec,
     sublevel_volume,
 )
 from .weights import WeightFunction
@@ -293,11 +293,9 @@ def lemma4_check(phi: WeightFunction, alpha: MultiIndex,
     if entry is None:
         entry = moment(phi, alpha, cfg)
     shifted = np.asarray(alpha.shifted(), dtype=np.float64)
-    h = log_image(phi)
-    sup = truncated_sup(h, shifted, cfg)
-    spec = SublevelSpec(h=h, y=shifted, p=0.5, hstar_y=sup.value, argmax=sup.argmax)
+    spec = make_sublevel_spec(log_image(phi), shifted, 0.5, cfg)
     vol = sublevel_volume(spec, method=default_volume_method(phi.n), cfg=cfg)
-    base = phi.n * LN_2PI + math.log(vol.value) + 2.0 * sup.value
+    base = phi.n * LN_2PI + math.log(vol.value) + 2.0 * spec.hstar_y
     lo_ln = base - 1.0
     hi_ln = base + math.log(1.0 + math.factorial(phi.n))
     slack = vol.half_width / vol.value + entry.rel_error + 1e-9
@@ -307,7 +305,7 @@ def lemma4_check(phi: WeightFunction, alpha: MultiIndex,
         value_ln=entry.ln_value,
         hi_ln=hi_ln,
         volume=vol,
-        conj=sup.value,
+        conj=spec.hstar_y,
         ok=ok,
     )
 

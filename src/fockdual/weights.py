@@ -174,34 +174,30 @@ class WeightFunction:
         )
 
 
-def make_fock(n: int) -> WeightFunction:
-    """Quadratic weight ||x||^2 / 2; self-conjugate."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"invalid dimension {n!r}")
-    term = PowerTerm("power", 2.0, 1.0)
+def _from_terms(n: int, terms: Sequence[PowerTerm], label: str) -> WeightFunction:
+    """The weight sum(terms) on n coordinates; with one term, its conjugate
+    has a closed form, the dual term."""
+    # bool is an int subclass: reject True as a dimension
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise WeightSpecError(f"invalid dimension {n!r}")
+    terms = tuple(terms)
     return WeightFunction(
         n=n,
-        eval=_terms_eval([term]),
-        label=f"fock:{n}",
-        conjugate_closed_form=_terms_eval([term.dual()]),
-        terms=(term,),
+        eval=_terms_eval(terms),
+        label=label,
+        conjugate_closed_form=_terms_eval([terms[0].dual()]) if len(terms) == 1 else None,
+        terms=terms,
     )
+
+
+def make_fock(n: int) -> WeightFunction:
+    """Quadratic weight ||x||^2 / 2; self-conjugate."""
+    return _from_terms(n, [PowerTerm("power", 2.0, 1.0)], f"fock:{n}")
 
 
 def make_separable_power(n: int, p: float) -> WeightFunction:
     """Separable weight sum_j x_j**p / p with conjugate sum_j y_j**q / q."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"invalid dimension {n!r}")
-    if not p > 1.0:
-        raise ValueError("exponent must exceed 1 (superlinearity fails otherwise)")
-    term = PowerTerm("power", float(p), 1.0)
-    return WeightFunction(
-        n=n,
-        eval=_terms_eval([term]),
-        label=f"power:{p:g}:{n}",
-        conjugate_closed_form=_terms_eval([term.dual()]),
-        terms=(term,),
-    )
+    return _from_terms(n, [PowerTerm("power", float(p), 1.0)], f"power:{p:g}:{n}")
 
 
 def weight_from_json(source) -> WeightFunction:
@@ -225,8 +221,6 @@ def weight_from_json(source) -> WeightFunction:
         raw_terms = obj["terms"]
     except (KeyError, TypeError) as exc:
         raise WeightSpecError("weight spec needs 'n' and 'terms'") from exc
-    if not isinstance(n, int) or n < 1:
-        raise WeightSpecError(f"invalid dimension {n!r}")
     if not isinstance(raw_terms, list) or not raw_terms:
         raise WeightSpecError("'terms' must be a non-empty list")
     terms = []
@@ -234,21 +228,16 @@ def weight_from_json(source) -> WeightFunction:
         if not isinstance(entry, dict):
             raise WeightSpecError("each term must be an object")
         try:
-            terms.append(PowerTerm(entry["type"], float(entry["p"]), float(entry["coef"])))
+            kind, p, coef = entry["type"], entry["p"], entry["coef"]
         except KeyError as exc:
             raise WeightSpecError(f"term missing field {exc}") from exc
-    terms = tuple(terms)
-    if len(terms) == 1:
-        closed = _terms_eval([terms[0].dual()])
-    else:
-        closed = None
-    return WeightFunction(
-        n=n,
-        eval=_terms_eval(terms),
-        label="json:" + ",".join(f"{t.kind[0]}{t.p:g}x{t.coef:g}" for t in terms),
-        conjugate_closed_form=closed,
-        terms=terms,
-    )
+        try:
+            p, coef = float(p), float(coef)
+        except (TypeError, ValueError) as exc:
+            raise WeightSpecError(f"term 'p' and 'coef' must be numbers: {exc}") from exc
+        terms.append(PowerTerm(kind, p, coef))
+    label = "json:" + ",".join(f"{t.kind[0]}{t.p:g}x{t.coef:g}" for t in terms)
+    return _from_terms(n, terms, label)
 
 
 def parse_preset(name: str) -> WeightFunction:
@@ -264,27 +253,16 @@ def parse_preset(name: str) -> WeightFunction:
     raise WeightSpecError(f"unknown preset {name!r}")
 
 
-@dataclass(frozen=True)
-class ClassVSampling:
-    """Sampling plan for validate_class_V.
-
-    The box [0, box_radius]^n is gridded with points_per_axis nodes per axis
-    (>= 3); growth is probed on the two spheres of the given radii.
-    """
-
-    box_radius: float = 8.0
-    points_per_axis: int = 5
-    radii: tuple[float, float] = (8.0, 16.0)
-    n_directions: int = 64
-    growth_margin: float = 0.25
-    tolerance: float = 1e-9
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.points_per_axis < 3:
-            raise ValueError("need at least 3 points per axis")
-        if not self.radii[0] < self.radii[1]:
-            raise ValueError("growth probe needs two radii R1 < R2")
+# sampling plan of validate_class_V: the box [0, _BOX_RADIUS]^n gridded with
+# _POINTS_PER_AXIS (>= 3) nodes per axis; growth probed on two spheres of
+# radii R1 < R2 along the axes and _N_DIRECTIONS random directions
+_BOX_RADIUS = 8.0
+_POINTS_PER_AXIS = 5
+_RADII = (8.0, 16.0)
+_N_DIRECTIONS = 64
+_GROWTH_MARGIN = 0.25
+_TOLERANCE = 1e-9
+_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -305,14 +283,14 @@ def _unit_directions(n: int, count: int, rng: np.random.Generator) -> np.ndarray
     return np.array(dirs)
 
 
-def validate_class_V(phi: WeightFunction, sampling: ClassVSampling = ClassVSampling()) -> ClassVReport:
+def validate_class_V(phi: WeightFunction) -> ClassVReport:
     """Certify (by sampling) symmetry, axis monotonicity and superlinear growth.
 
     Failures never raise; they are carried in the report flags.
     """
-    rng = np.random.default_rng(sampling.seed)
+    rng = np.random.default_rng(_SEED)
     n = phi.n
-    axis = np.linspace(0.0, sampling.box_radius, sampling.points_per_axis)
+    axis = np.linspace(0.0, _BOX_RADIUS, _POINTS_PER_AXIS)
     grid = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
     samples = 0
 
@@ -326,7 +304,7 @@ def validate_class_V(phi: WeightFunction, sampling: ClassVSampling = ClassVSampl
 
     # monotonicity along each axis on [0, inf)^n
     mono_viol = 0.0
-    delta = sampling.box_radius / (2.0 * (sampling.points_per_axis - 1))
+    delta = _BOX_RADIUS / (2.0 * (_POINTS_PER_AXIS - 1))
     base_vals = phi.eval(grid)
     for j in range(n):
         shifted = grid.copy()
@@ -336,17 +314,16 @@ def validate_class_V(phi: WeightFunction, sampling: ClassVSampling = ClassVSampl
         samples += len(grid)
 
     # superlinearity: min over directions of g(R d)/R must grow by the margin
-    dirs = _unit_directions(n, sampling.n_directions, rng)
-    r1, r2 = sampling.radii
+    dirs = _unit_directions(n, _N_DIRECTIONS, rng)
+    r1, r2 = _RADII
     ratio1 = float(np.min(phi.eval(dirs * r1) / r1))
     ratio2 = float(np.min(phi.eval(dirs * r2) / r2))
     samples += 2 * len(dirs)
-    super_viol = max(0.0, sampling.growth_margin - (ratio2 - ratio1))
+    super_viol = max(0.0, _GROWTH_MARGIN - (ratio2 - ratio1))
 
-    tol = sampling.tolerance
     return ClassVReport(
-        symmetric_ok=sym_viol <= tol,
-        monotone_ok=mono_viol <= tol,
+        symmetric_ok=sym_viol <= _TOLERANCE,
+        monotone_ok=mono_viol <= _TOLERANCE,
         superlinear_ok=super_viol <= 0.0,
         worst_violation=max(sym_viol, mono_viol, super_viol, 0.0),
         samples_used=samples,

@@ -1,5 +1,6 @@
 """Exit codes, report artifacts, determinism, and the expected-fail fixture."""
 
+import csv
 import filecmp
 import json
 from pathlib import Path
@@ -42,6 +43,19 @@ def test_malformed_weight_exits_2(tmp_path):
     missing = tmp_path / "missing.json"
     assert run_cli(["moments", "--weight", str(missing),
                     "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("spec", [
+    {"n": 1, "terms": [{"type": "power", "p": "x", "coef": 1}]},
+    {"n": 1, "terms": [{"type": "power", "p": None, "coef": 1}]},
+    {"n": True, "terms": [{"type": "power", "p": 2, "coef": 1}]},
+])
+def test_bad_term_or_dimension_exits_2(tmp_path, capsys, spec):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli(["moments", "--weight", str(path), "--degree", "2",
+                    "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_sublinear_weight_exits_2(tmp_path):
@@ -97,7 +111,7 @@ def test_refine_refines_a_numeric_dual(tmp_path):
     # sep1 has no closed-form dual; its numeric dual samples at the refined step
     sep1 = Path(__file__).resolve().parents[1] / "fdbench" / "weights" / "sep1.json"
     nodes, _, _ = fenchel._NumericDual(fd.weight_from_json(sep1),
-                                       fd.DEFAULT.refined())._axis_table(2.0)
+                                       fd.DEFAULT.refined())._table(2.0)
     assert nodes[1] - nodes[0] <= fd.DEFAULT.conj_step_1d / 2
     assert run_cli(["identities", "--weight", str(sep1), "--refine",
                     "--out", str(tmp_path)]) == 0
@@ -148,6 +162,38 @@ def test_json_format(tmp_path):
     payload = json.loads((tmp_path / "sandwich_table.json").read_text())
     assert isinstance(payload, list) and len(payload) == 9
     assert all(row["verdict"] is True for row in payload)
+
+
+def _csv_cell(v) -> str:
+    """A JSON cell as the CSV report writes it: bools as true/false, floats
+    by their shortest repr (so the two agree when they hold one value)."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+def test_json_tables_match_their_csv_twins(tmp_path):
+    for fmt in ("csv", "json"):
+        assert run_cli(["all", "--weight-preset", "fock:1", "--degree", "2",
+                        "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+    stems = sorted(p.stem for p in (tmp_path / "csv").iterdir())
+    assert stems == sorted(p.stem for p in (tmp_path / "json").iterdir())
+    assert len(stems) == 16
+    for stem in stems:
+        with (tmp_path / "csv" / f"{stem}.csv").open(newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        payload = json.loads((tmp_path / "json" / f"{stem}.json").read_text())
+        if stem == "moments_table":
+            assert list(payload) == ["phi_label", "n", "max_degree", "entries"]
+            assert (payload["phi_label"], payload["n"], payload["max_degree"]) == \
+                ("fock:1", 1, 2)
+            payload = [{"alpha_1": e["alpha"][0], "value": e["value"],
+                        "ln_value": e["ln_value"], "rel_error": e["rel_error"]}
+                       for e in payload["entries"]]
+        assert len(payload) == len(rows), stem
+        for obj, row in zip(payload, rows):
+            assert list(obj) == header, stem
+            assert [_csv_cell(v) for v in obj.values()] == row, stem
 
 
 def test_all_deterministic(tmp_path, monkeypatch):

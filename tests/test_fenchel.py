@@ -301,7 +301,7 @@ def test_numeric_dual_nonseparable_grid_matches_pointwise():
 
 def test_numeric_dual_paths_agree_and_build_one_hull(monkeypatch):
     w = fd.weight_from_json(SEP1_WEIGHT)
-    nodes, vals, _ = fenchel._NumericDual(w, fd.DEFAULT)._axis_table(3.75)
+    nodes, vals, _ = fenchel._NumericDual(w, fd.DEFAULT)._table(3.75)
     built = []
 
     class CountingHull(fenchel.Hull):

@@ -63,7 +63,7 @@ def test_float_ties_match_bruteforce_bitwise():
     # On this table some hull slopes equal a query exactly, so two nodes tie
     # up to rounding; a plain binary-search answer is an ulp low at x = 1.375,
     # 1.625, 2.625 and 3.125. The strictly-rising climb picks the larger one.
-    nodes, vals, hull = _NumericDual(parse_preset("fock:2"), DEFAULT)._axis_table(4.0)
+    nodes, vals, hull = _NumericDual(parse_preset("fock:2"), DEFAULT)._table(4.0)
     assert len(nodes) == 32501
     x = np.linspace(0.0, 4.0, 33)
     ref = np.max(x[:, None] * nodes[None, :] - vals[None, :], axis=1)
@@ -165,7 +165,7 @@ def test_first_pop_at_the_last_triple(hull_chain):
 
 
 def test_fock2_numeric_dual_table_keeps_every_node(hull_chain):
-    nodes, vals, hull = _NumericDual(parse_preset("fock:2"), DEFAULT)._axis_table(4.0)
+    nodes, vals, hull = _NumericDual(parse_preset("fock:2"), DEFAULT)._table(4.0)
     assert len(nodes) == 32501
     assert np.array_equal(hull.y, nodes) and np.array_equal(hull.f, vals)
     ref = hull_chain(nodes, vals)

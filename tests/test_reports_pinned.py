@@ -32,7 +32,6 @@ def test_n1_reports_match_the_recorded_ones(workload, tmp_path, monkeypatch, cap
     ref = json.loads((REFERENCE / workload / "checks.json").read_text(encoding="utf-8"))
     # an empty memo, as in a fresh process
     monkeypatch.setattr(fenchel, "_MEMO", {})
-    monkeypatch.setattr(fenchel, "_LINES", {})
     code = cli.main(CASES[workload] + ["--out", str(tmp_path)])
     checks = [[m.group(2), m.group(1)]
               for m in map(_CHECK_LINE.match, capsys.readouterr().out.splitlines()) if m]
@@ -58,7 +57,6 @@ def test_fock2_volume_cells_match_the_recorded_ones(tmp_path, monkeypatch):
     # Lemma 4 lower bound) is pinned byte for byte.
     ref = REFERENCE / "fock2_all"
     monkeypatch.setattr(fenchel, "_MEMO", {})
-    monkeypatch.setattr(fenchel, "_LINES", {})
     for suite in ("sandwich", "moments", "duality"):
         code = cli.main([suite, "--weight-preset", "fock:2", "--degree", "8",
                          "--out", str(tmp_path)])

@@ -24,11 +24,9 @@ CFG = fd.DEFAULT
 
 @pytest.fixture
 def memo(monkeypatch):
-    """An empty memo and line store for this test, so every sup is computed
-    here."""
+    """An empty memo for this test, so every sup is computed here."""
     store = {}
     monkeypatch.setattr(fenchel, "_MEMO", store)
-    monkeypatch.setattr(fenchel, "_LINES", {})
     return store
 
 

@@ -21,6 +21,8 @@ def test_fock_rejects_bad_dimension():
         fd.make_fock(0)
     with pytest.raises(ValueError):
         fd.make_fock(-2)
+    with pytest.raises(ValueError):
+        fd.make_fock(True)
 
 
 def test_separable_power_values(power4):
@@ -117,6 +119,7 @@ def test_json_weight_roundtrip(tmp_path):
     json.dumps({"terms": []}),
     json.dumps({"n": 1}),
     json.dumps({"n": 0, "terms": [{"type": "power", "p": 2, "coef": 1}]}),
+    json.dumps({"n": True, "terms": [{"type": "power", "p": 2, "coef": 1}]}),
     json.dumps({"n": 1, "terms": []}),
     json.dumps({"n": 1, "terms": [{"type": "power", "p": 1.0, "coef": 1}]}),
     json.dumps({"n": 1, "terms": [{"type": "power", "p": 2.0, "coef": -1}]}),
