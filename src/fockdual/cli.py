@@ -108,15 +108,26 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+def _csv_column(cells: tuple):
+    """`_fmt_cell` of a column, typed once: csv writes a Python float as its
+    repr and an int or str as str, so such a column passes straight through."""
+    kinds = set(map(type, cells))
+    if kinds <= {float, int, str}:
+        return cells
+    if kinds <= {float, np.float64}:
+        return list(map(float, cells))
+    if kinds <= {bool, np.bool_}:
+        return ["true" if v else "false" for v in cells]
+    return list(map(_fmt_cell, cells))
+
+
 def write_table(out_dir: Path, name: str, header: list, rows: list, fmt: str) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         path = out_dir / f"{name}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt_cell(v) for v in row])
+            csv.writer(fh, lineterminator="\n").writerows(
+                [header, *zip(*map(_csv_column, zip(*rows)))])
     else:
         path = out_dir / f"{name}.json"
         payload = [
@@ -184,10 +195,10 @@ def cmd_conjugate(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
     header = [f"y_{j + 1}" for j in range(w.n)] + ["value"]
     mesh = np.meshgrid(*([axis] * w.n), indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=1)
-    rows = [tuple(c) + (v,) for c, v in zip(coords, dual_tensor.ravel())]
+    rows = [tuple(c) + (v,) for c, v in zip(coords.tolist(), dual_tensor.ravel().tolist())]
     if w.conjugate_closed_form is not None:
         closed = w.conjugate_closed_form(
-            np.stack(mesh, axis=-1)).ravel()
+            np.stack(mesh, axis=-1)).ravel().tolist()
         header += ["closed_form", "abs_diff"]
         rows = [
             r + (cf, abs(r[-1] - cf)) for r, cf in zip(rows, closed)
@@ -209,7 +220,7 @@ def cmd_conjugate(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
             [fenchel.log_conj(w, c, cfg) for c in coords]
         ).reshape((nodes_per_axis,) * w.n)
     rows = [
-        tuple(c) + (v,) for c, v in zip(coords, log_tensor.ravel())
+        tuple(c) + (v,) for c, v in zip(coords.tolist(), log_tensor.ravel().tolist())
     ]
     result.table("conjugate_log_dual_table", [f"x_{j + 1}" for j in range(w.n)] + ["value"],
                  rows)
@@ -217,12 +228,13 @@ def cmd_conjugate(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
     # grid transform invariants: Fenchel-Young and biconjugation
     counts = {1: 321, 2: 97}.get(w.n, 25)
     primal = tuple(GridAxis(-6.0, 6.0, counts) for _ in range(w.n))
-    f_vals = fenchel.symmetrized_fn(w).on_axes([a.nodes() for a in primal])
-    f = SampledFunction(primal, f_vals)
-    slope_hi = max(
-        float(np.max(np.abs(np.diff(f_vals, axis=j)))) / primal[j].step
-        for j in range(w.n)
-    )
+    primal_nodes = [a.nodes() for a in primal]
+    sym = fenchel.symmetrized_fn(w)
+    # a separable weight is sampled, and so conjugated, one axis at a time
+    f = (SampledFunction.separable(primal, [p(a) for p, a in zip(sym.axis_profiles, primal_nodes)])
+         if w.is_separable else SampledFunction(primal, sym.on_axes(primal_nodes)))
+    slope_hi = max(float(np.max(np.abs(np.diff(f.values, axis=j)))) / primal[j].step
+                   for j in range(w.n))
     dual_counts = {1: 257, 2: 65}.get(w.n, 17)
     dual_grid = tuple(
         GridAxis(-1.05 * slope_hi, 1.05 * slope_hi, dual_counts) for _ in range(w.n)
@@ -231,7 +243,6 @@ def cmd_conjugate(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
 
     rng = np.random.default_rng(run.seed)
     fy_worst = -math.inf
-    primal_nodes = [a.nodes() for a in primal]
     dual_nodes = [g.nodes() for g in dual_grid]
     for _ in range(200):
         i = tuple(rng.integers(0, counts) for _ in range(w.n))

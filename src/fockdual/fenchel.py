@@ -4,7 +4,7 @@ Two conjugation surfaces live here:
 
 * one grid-to-grid engine, `conjugate_values` (iterated per-axis scans on
   the lower-hull kernel of `_scan`), behind `conjugate_nd` and the numeric
-  dual, used for dual tables and biconjugation;
+  dual, used for dual tables and biconjugation, per axis for sums of profiles;
 * per-point truncated sups (`truncated_sup`, `log_conj`, `dual_log_conj`)
   over decay-budget boxes, used by the identity verifier
   (`verify_identities`) and by the Laplace/moment modules.
@@ -62,10 +62,12 @@ class GridAxis:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Tensor-grid sampling of a scalar function on a box."""
+    """Tensor-grid sampling of a scalar function on a box; ``parts``, for a sum
+    of per-axis profiles, holds one sample vector per axis (`separable`)."""
 
     axes: tuple[GridAxis, ...]
     values: np.ndarray
+    parts: Optional[tuple[np.ndarray, ...]] = None
 
     def __post_init__(self):
         shape = tuple(a.count for a in self.axes)
@@ -73,6 +75,10 @@ class SampledFunction:
             raise ValueError(f"values shape {self.values.shape} != grid shape {shape}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("sampled values must be finite at every node")
+
+    @classmethod
+    def separable(cls, axes: Sequence[GridAxis], parts: Sequence[np.ndarray]):
+        return cls(axes, add_on_axes(np.zeros([a.count for a in axes]), parts), tuple(parts))
 
     @property
     def n(self) -> int:
@@ -236,14 +242,18 @@ def _slope_range(f: SampledFunction) -> tuple[tuple[float, float], ...]:
 
 
 def conjugate_nd(f: SampledFunction, dual_grid: Sequence[GridAxis]) -> ConjugateResult:
-    """n-dimensional discrete conjugate by iterated per-axis scans."""
+    """n-dimensional discrete conjugate by iterated per-axis scans, one part at
+    a time for an ``f`` with ``parts`` (equal up to roundoff; the dual has parts)."""
     dual_grid = tuple(dual_grid)
     if len(dual_grid) != f.n:
         raise ValueError("dual grid dimension mismatch")
-    vals = conjugate_values(
-        [a.nodes() for a in f.axes], f.values, [g.nodes() for g in dual_grid]
-    )
-    dual = SampledFunction(dual_grid, vals)
+    if f.parts is not None:
+        dual = SampledFunction.separable(dual_grid, [
+            conjugate_values([a.nodes()], part, [g.nodes()])
+            for a, part, g in zip(f.axes, f.parts, dual_grid)])
+    else:
+        dual = SampledFunction(dual_grid, conjugate_values(
+            [a.nodes() for a in f.axes], f.values, [g.nodes() for g in dual_grid]))
     return ConjugateResult(dual, _slope_range(f))
 
 

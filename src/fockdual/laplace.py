@@ -61,30 +61,24 @@ _MAX_EXPANSIONS = 200
 
 
 def _bounding_box(spec: SublevelSpec, probe_per_axis: int = 17) -> tuple[np.ndarray, np.ndarray]:
-    """Expand a box from the gap minimizer until every face is outside D."""
+    """Expand a box from the gap minimizer until every face is outside D,
+    probing both faces of an axis in one call (a numeric dual's table grows on
+    the largest |r| read: for a log image the hi face, as in a one-face probe)."""
     n = spec.h.n
     lo = spec.argmax - 1.0
     hi = spec.argmax + 1.0
-
-    def face_has_member(axis: int, edge: float) -> bool:
-        axes = []
-        for j in range(n):
-            if j == axis:
-                axes.append(np.array([edge]))
-            else:
-                axes.append(np.linspace(lo[j], hi[j], probe_per_axis))
-        return bool(np.any(_membership(spec, axes)))
-
     for _ in range(_MAX_EXPANSIONS):
         grew = False
         for j in range(n):
+            axes = [np.array([lo[i], hi[i]]) if i == j
+                    else np.linspace(lo[i], hi[i], probe_per_axis) for i in range(n)]
+            member = np.moveaxis(_membership(spec, axes), j, 0).reshape(2, -1).any(axis=1)
             width = hi[j] - lo[j]
-            if face_has_member(j, hi[j]):
+            if member[1]:
                 hi[j] += 0.5 * width
-                grew = True
-            if face_has_member(j, lo[j]):
+            if member[0]:
                 lo[j] -= 0.5 * width
-                grew = True
+            grew = grew or bool(member.any())
         if not grew:
             return lo, hi
     raise DivergenceError(
@@ -153,7 +147,7 @@ def _cells(member: np.ndarray) -> tuple[int, int]:
 
 def _spread(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Min and max of each entry of ``u`` and its neighbours."""
-    e = np.pad(u, 1, mode="edge")
+    e = np.concatenate((u[:1], u, u[-1:]))
     return (np.minimum(np.minimum(e[:-2], e[1:-1]), e[2:]),
             np.maximum(np.maximum(e[:-2], e[1:-1]), e[2:]))
 
@@ -373,52 +367,56 @@ def laplace_integral(h: GridFn, y, cfg: NumericsConfig = DEFAULT,
     return memoized(h.key, inputs, lambda: _laplace_integral(h, y, cfg, sup))
 
 
+def _simpson_part(psi: np.ndarray, steps: Sequence[float]) -> tuple[float, float, float]:
+    """(max, fine and stride-2 Simpson sums of e^(psi - max)) of an exponent
+    ``psi`` on a product grid with the given axis steps; ``psi`` is overwritten."""
+    peak = float(psi.max())
+    psi -= peak
+    np.exp(psi, out=psi)
+    sums = []
+    for stride in (1, 2):
+        t = psi[(slice(None, None, stride),) * psi.ndim].copy()
+        scale = 1.0
+        for i, step in enumerate(steps):
+            t *= _simpson_weights(t.shape[i]).reshape((-1,) + (1,) * (t.ndim - 1 - i))
+            scale *= float(step) * stride / 3.0
+        sums.append(float(t.sum()) * scale)
+    return peak, sums[0], sums[1]
+
+
 def _laplace_integral(h: GridFn, y: np.ndarray, cfg: NumericsConfig,
                       sup: SupResult) -> IntegralEstimate:
+    """A separable ``h`` gives one `_simpson_part` per axis, memoized (key space
+    ``"axis_integral"``) on the keyed ``h`` and the axis's coordinate, box and
+    curvature; the parts are combined in axis order, so no float changes."""
     n = h.n
-    axes = []
-    steps = []
-    for j in range(n):
+    curvs = sup.curvature if sup.curvature.size else np.zeros(n)
+
+    def axis(j: int) -> tuple[np.ndarray, float]:
         box_len = sup.hi[j] - sup.lo[j]
-        curv = sup.curvature[j] if sup.curvature.size else 0.0
-        sigma = 1.0 / math.sqrt(curv) if curv > 0 else math.inf
+        sigma = 1.0 / math.sqrt(curvs[j]) if curvs[j] > 0 else math.inf
         count = _quad_count(box_len, sigma, cfg, n)
-        axes.append(np.linspace(sup.lo[j], sup.hi[j], count))
-        steps.append(box_len / (count - 1))
-    # each part is an exponent on the product grid of some of the axes:
-    # one 1-D part per axis when h splits over them, else one n-D tensor
+        return np.linspace(sup.lo[j], sup.hi[j], count), box_len / (count - 1)
+
+    def axis_part(j: int, prof) -> tuple[float, float, float]:
+        nodes, step = axis(j)
+        return _simpson_part(y[j] * nodes - prof(nodes), [step])
+
     if h.axis_profiles is not None:
-        parts = [([j], tilt(-prof(axes[j]), y[j:j + 1], axes[j:j + 1]))
+        parts = [memoized(h.key, ("axis_integral", value_bytes(y[j]), cfg, n,
+                                  value_bytes([sup.lo[j], sup.hi[j], curvs[j]])),
+                          lambda j=j, prof=prof: axis_part(j, prof))
                  for j, prof in enumerate(h.axis_profiles)]
     else:
+        axes, steps = zip(*map(axis, range(n)))
         if math.prod(len(a) for a in axes) > 5e7:
             raise ValueError("integration grid too large for this dimension")
-        parts = [(list(range(n)), tilt(-h.on_axes(axes), y, axes))]
-
-    def contract(tensor: np.ndarray, dims: list[int], stride: int) -> float:
-        k = len(dims)
-        t = tensor[tuple(slice(None, None, stride) for _ in range(k))].copy()
-        for i, j in enumerate(dims):
-            w = _simpson_weights(len(axes[j][::stride]))
-            sl = [None] * k
-            sl[i] = slice(None)
-            t *= w[tuple(sl)]
-        raw = float(t.sum())
-        scale = 1.0
-        for j in dims:
-            scale *= float(steps[j]) * stride / 3.0
-        return raw * scale
-
-    peak = 0.0
-    fine = 1.0
-    coarse = 1.0
-    for dims, psi in parts:
-        part_peak = float(psi.max())
-        psi -= part_peak
-        scaled = np.exp(psi, out=psi)
+        parts = [_simpson_part(tilt(-h.on_axes(axes), y, axes), steps)]
+    peak, fine, coarse = 0.0, 1.0, 1.0
+    for part_peak, part_fine, part_coarse in parts:
         peak += part_peak
-        fine *= contract(scaled, dims, 1)
-        coarse *= contract(scaled, dims, 2)
+        fine *= part_fine
+        coarse *= part_coarse
     if fine <= 0:
         raise DivergenceError("integrand underflowed to zero on the whole box")
     rel = abs(fine - coarse) / fine + math.exp(-cfg.decay_budget)

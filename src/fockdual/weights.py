@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -210,7 +211,7 @@ def weight_from_json(source) -> WeightFunction:
     if isinstance(source, (str, Path)):
         try:
             obj = json.loads(Path(source).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSONDecodeError, int digit limit
             raise WeightSpecError(f"cannot read weight spec: {exc}") from exc
     else:
         obj = source
@@ -231,11 +232,11 @@ def weight_from_json(source) -> WeightFunction:
             kind, p, coef = entry["type"], entry["p"], entry["coef"]
         except KeyError as exc:
             raise WeightSpecError(f"term missing field {exc}") from exc
-        try:
-            p, coef = float(p), float(coef)
-        except (TypeError, ValueError) as exc:
-            raise WeightSpecError(f"term 'p' and 'coef' must be numbers: {exc}") from exc
-        terms.append(PowerTerm(kind, p, coef))
+        for name, v in (("p", p), ("coef", coef)):
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not abs(v) <= sys.float_info.max):
+                raise WeightSpecError(f"term {name!r} must be a finite number, got {v!r}")
+        terms.append(PowerTerm(kind, float(p), float(coef)))
     label = "json:" + ",".join(f"{t.kind[0]}{t.p:g}x{t.coef:g}" for t in terms)
     return _from_terms(n, terms, label)
 

@@ -5,6 +5,7 @@ import filecmp
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fockdual as fd
@@ -56,6 +57,34 @@ def test_bad_term_or_dimension_exits_2(tmp_path, capsys, spec):
     assert run_cli(["moments", "--weight", str(path), "--degree", "2",
                     "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fields, name", [
+    ('"p": "2", "coef": 1', "p"),
+    ('"p": 2, "coef": true', "coef"),
+    ('"p": "inf", "coef": 1', "p"),
+    ('"p": 2, "coef": "nan"', "coef"),
+    ('"p": 1e400, "coef": 1', "p"),
+    ('"p": 2, "coef": 1' + "0" * 400, "coef"),
+], ids=["p-string", "coef-bool", "p-inf-string", "coef-nan-string", "p-1e400", "coef-huge-int"])
+def test_term_field_must_be_a_finite_number(tmp_path, capsys, fields, name):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 1, "terms": [{"type": "power", %s}]}' % fields)
+    assert run_cli(["moments", "--weight", str(path), "--degree", "2",
+                    "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: term {name!r} must be a finite number")
+
+
+def test_csv_columns_format_as_cells(tmp_path):
+    rows = [(1.5, np.float64(0.1), True, np.bool_(False), 3, "a,b", np.float32(0.5), 1.0),
+            (-0.0, np.float64(2e-300), False, np.bool_(True), 4, "c", 7, np.float64(1 / 3))]
+    header = [f"c{j}" for j in range(len(rows[0]))]
+    path = cli.write_table(tmp_path, "t", header, rows, "csv")
+    with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([cli._fmt_cell(v) for v in row] for row in rows)
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_sublinear_weight_exits_2(tmp_path):

@@ -1,6 +1,7 @@
 """Grid conjugation against the exhaustive oracle, the log-substituted
 per-point conjugates, and the conjugation-identity verifier."""
 
+import json
 import math
 from pathlib import Path
 
@@ -105,6 +106,52 @@ def test_conjugate_nd_fock_and_flat_box(fock2):
     flat = fd.SampledFunction(flat_axes, np.zeros((11, 11)))
     res2 = fd.conjugate_nd(flat, (grid(2.0, 2.0 + 1e-9, 2), grid(3.0, 3.0 + 1e-9, 2)))
     assert res2.dual.values[0, 0] == pytest.approx(5.0, abs=1e-8)
+
+
+def _sep1(n):
+    return fd.weight_from_json(dict(json.loads(SEP1_WEIGHT.read_text(encoding="utf-8")), n=n))
+
+
+@pytest.mark.parametrize("w", [fd.make_fock(2), fd.make_separable_power(2, 3.0), _sep1(2),
+                               fd.make_fock(3)], ids=lambda w: f"{w.label}@{w.n}")
+def test_per_axis_conjugate_matches_tensor_scan_and_oracle(w, conjugate_bruteforce):
+    count, dual_count = (33, 17) if w.n == 2 else (13, 9)
+    primal = tuple(grid(-3.0, 3.0, count) for _ in range(w.n))
+    sym = symmetrized_fn(w)
+    f = fd.SampledFunction.separable(
+        primal, [prof(a.nodes()) for prof, a in zip(sym.axis_profiles, primal)])
+    tensor = fd.SampledFunction(primal, f.values)
+    dual_grid = tuple(grid(-4.0, 4.0, dual_count) for _ in range(w.n))
+    got = fd.conjugate_nd(f, dual_grid)
+    want = fd.conjugate_nd(tensor, dual_grid)
+    assert got.dual.parts is not None and want.dual.parts is None
+    assert got.slope_range == want.slope_range
+    scale = np.abs(want.dual.values).max()
+    np.testing.assert_allclose(got.dual.values, want.dual.values, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(got.dual.values, conjugate_bruteforce(f, dual_grid),
+                               rtol=1e-12, atol=1e-12 * scale)
+    # the back-transform of a factored dual is factored too
+    back = fd.conjugate_nd(got.dual, primal)
+    back_tensor = fd.conjugate_nd(want.dual, primal)
+    assert back.dual.parts is not None
+    np.testing.assert_allclose(back.dual.values, back_tensor.dual.values, rtol=1e-12,
+                               atol=1e-12 * np.abs(back_tensor.dual.values).max())
+
+
+def test_per_axis_conjugate_scans_one_row_per_axis(monkeypatch, fock2):
+    rows = []
+    inner = fenchel.conjugate_lines
+
+    def counting(y, vals, x):
+        rows.append(np.shape(vals))
+        return inner(y, vals, x)
+
+    monkeypatch.setattr(fenchel, "conjugate_lines", counting)
+    primal = (grid(-6.0, 6.0, 97),) * 2
+    prof = symmetrized_fn(fock2).axis_profiles[0]
+    f = fd.SampledFunction.separable(primal, [prof(a.nodes()) for a in primal])
+    fd.conjugate_nd(f, (grid(-7.0, 7.0, 65),) * 2)
+    assert rows == [(1, 97), (1, 97)]
 
 
 @given(seed=st.integers(0, 2**31 - 1))

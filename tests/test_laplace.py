@@ -1,13 +1,18 @@
 """Sublevel volumes, Laplace integrals and the sandwich verdict."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fockdual as fd
-from fockdual.fenchel import symmetrized_fn
+from fockdual import laplace
+from fockdual.fenchel import log_image, symmetrized_fn
 from fockdual.laplace import _sublevel_volume
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +142,50 @@ def test_sublevel_spec_validation(h1):
     with pytest.raises(ValueError):
         fd.SublevelSpec(h=h1, y=np.array([0.0]), p=1.0, hstar_y=math.inf,
                         argmax=np.array([0.0]))
+
+
+def _one_face_box(spec, probe_per_axis=17):
+    """The bounding box grown by probing one face per call, hi face first."""
+    n = spec.h.n
+    lo, hi = spec.argmax - 1.0, spec.argmax + 1.0
+
+    def member(axis, edge):
+        axes = [np.array([edge]) if j == axis else np.linspace(lo[j], hi[j], probe_per_axis)
+                for j in range(n)]
+        return bool(np.any(laplace._membership(spec, axes)))
+
+    while True:
+        grew = False
+        for j in range(n):
+            width = hi[j] - lo[j]
+            if member(j, hi[j]):
+                hi[j] += 0.5 * width
+                grew = True
+            if member(j, lo[j]):
+                lo[j] -= 0.5 * width
+                grew = True
+        if not grew:
+            return lo, hi
+
+
+def _sep1(n):
+    obj = json.loads((ROOT / "fdbench" / "weights" / "sep1.json").read_text(encoding="utf-8"))
+    return fd.weight_from_json(dict(obj, n=n))
+
+
+@pytest.mark.parametrize("make, y", [
+    (lambda: symmetrized_fn(fd.make_fock(1)), [0.7]),
+    (lambda: symmetrized_fn(fd.make_fock(2)), [-1.5, 0.0]),
+    (lambda: symmetrized_fn(fd.make_fock(3)), [1.0, -1.0, 0.0]),
+    (lambda: log_image(fd.make_separable_power(2, 3.0)), [4.0, 10.0]),
+    (lambda: symmetrized_fn(_sep1(2)), [0.3, 2.0]),
+    # numeric duals, whose tables grow with the largest |r| a probe reads
+    (lambda: log_image(fd.dual_weight(_sep1(1))), [2.0]),
+    (lambda: log_image(fd.dual_weight(_sep1(2))), [4.0, 6.0]),
+], ids=["fock1", "fock2", "fock3", "power3-log", "sep1@2", "sep1*-log", "sep1*@2-log"])
+def test_bounding_box_probes_both_faces_at_once_with_the_same_floats(make, y):
+    h = make()
+    spec = fd.make_sublevel_spec(h, y, 1.0)
+    got = laplace._bounding_box(fd.make_sublevel_spec(make(), y, 1.0))
+    want = _one_face_box(spec)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

@@ -53,6 +53,28 @@ def test_moment_tables_compute_each_sup_and_integral_once(memo, monkeypatch, foc
     assert len(integrals) == indices and len(set(integrals)) == indices
 
 
+def test_separable_integrals_sum_each_axis_coordinate_once(memo, monkeypatch, fock2):
+    parts = []
+    inner = laplace._simpson_part
+
+    def counting(psi, steps):
+        parts.append(psi.shape)
+        return inner(psi, steps)
+
+    monkeypatch.setattr(laplace, "_simpson_part", counting)
+    fd.moment_table(fock2, 8)
+    axis_keys = [key for key in memo if key[1] == "axis_integral"]
+    # y_j = 2 (alpha_j + 1) takes 9 values for alpha_j = 0, ..., 8, and the
+    # box and curvature of an axis come from that coordinate's line sup:
+    # 9 one-axis Simpson sums instead of two for each of the 45 integrals
+    assert len(axis_keys) == 9
+    assert len(parts) == 9 and all(len(shape) == 1 for shape in parts)
+    fd.moment_table(fock2, 8)
+    fd.moment_table(fd.dual_weight(fock2), 8)
+    assert [key for key in memo if key[1] == "axis_integral"] == axis_keys
+    assert len(parts) == 9
+
+
 def test_separable_sups_solve_one_line_per_axis_coordinate(memo, monkeypatch, fock2):
     lines = []
     inner = fenchel._sup_line

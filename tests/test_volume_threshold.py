@@ -21,7 +21,7 @@ from fockdual.laplace import SublevelSpec, _cells, _sublevel_volume, _threshold_
 
 ROOT = Path(__file__).resolve().parents[1]
 CFG = fd.DEFAULT
-PROBE = 17  # points of one bounding-box face probe in 2-D
+PROBE = 34  # points of one bounding-box probe of both faces of an axis in 2-D
 
 
 @pytest.fixture(autouse=True)
