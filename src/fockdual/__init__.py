@@ -19,7 +19,6 @@ from .duality import (
     stirling_identity_check,
 )
 from .fenchel import (
-    ConjugateResult,
     DivergenceError,
     DivergenceProfile,
     GridAxis,

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import duality, fenchel, laplace, moments, weights
-from .config import DEFAULT, NumericsConfig
+from .config import REFINE_SHRINK, TOL_IDENTITY, NumericsConfig
 from .fenchel import GridAxis, SampledFunction
 from .weights import WeightFunction, WeightSpecError
 
@@ -49,16 +49,21 @@ class RunConfig:
     seed: int = 0
     refine: int = 0
     volume_cells: Optional[int] = None
-    tol_identity: Optional[float] = None
+    tol_identity: float = TOL_IDENTITY
 
     def __post_init__(self):
         if self.max_degree < 0:
             raise WeightSpecError("degree must be nonnegative")
         if self.fmt not in ("csv", "json"):
             raise WeightSpecError(f"unknown report format {self.fmt!r}")
+        if self.seed < 0:
+            raise WeightSpecError(f"--seed must be nonnegative, got {self.seed}")
         if self.volume_cells is not None and self.volume_cells < 1:
             raise WeightSpecError(
                 f"--volume-cells must be a positive cell count, got {self.volume_cells}")
+        if not (math.isfinite(self.tol_identity) and self.tol_identity > 0):
+            raise WeightSpecError(
+                f"--tol-identity must be a finite positive tolerance, got {self.tol_identity}")
 
 
 @dataclass
@@ -91,13 +96,6 @@ def load_weight(run: RunConfig) -> WeightFunction:
         return weights.weight_from_json(run.weight_path)
     preset = run.weight_preset or "fock:1"
     return weights.parse_preset(preset)
-
-
-def numerics_for(run: RunConfig) -> NumericsConfig:
-    cfg = DEFAULT
-    if run.refine:
-        cfg = cfg.refined(run.refine)
-    return cfg
 
 
 def _fmt_cell(v) -> str:
@@ -196,9 +194,9 @@ def cmd_conjugate(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
     mesh = np.meshgrid(*([axis] * w.n), indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=1)
     rows = [tuple(c) + (v,) for c, v in zip(coords.tolist(), dual_tensor.ravel().tolist())]
-    if w.conjugate_closed_form is not None:
-        closed = w.conjugate_closed_form(
-            np.stack(mesh, axis=-1)).ravel().tolist()
+    closed_form = w.dual()
+    if closed_form is not None:
+        closed = closed_form.eval(np.stack(mesh, axis=-1)).ravel().tolist()
         header += ["closed_form", "abs_diff"]
         rows = [
             r + (cf, abs(r[-1] - cf)) for r, cf in zip(rows, closed)
@@ -249,18 +247,16 @@ def cmd_conjugate(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
         k = tuple(rng.integers(0, dual_counts) for _ in range(w.n))
         x = np.array([primal_nodes[j][i[j]] for j in range(w.n)])
         xi = np.array([dual_nodes[j][k[j]] for j in range(w.n)])
-        gap = float(x @ xi) - float(f.values[i]) - float(conj.dual.values[k])
+        gap = float(x @ xi) - float(f.values[i]) - float(conj.values[k])
         fy_worst = max(fy_worst, gap)
     result.add("fenchel_young", fy_worst <= 1e-10, f"worst_gap={fy_worst!r}")
 
-    back = fenchel.conjugate_nd(conj.dual, primal)
+    back = fenchel.conjugate_nd(conj, primal)
     interior = tuple(slice(1, -1) for _ in range(w.n))
-    resid = float(np.max(np.abs(
-        f.values[interior] - back.dual.values[interior]
-    )))
+    resid = float(np.max(np.abs(f.values[interior] - back.values[interior])))
     bound = 0.0
     for j in range(w.n):
-        second = np.abs(np.diff(conj.dual.values, n=2, axis=j))
+        second = np.abs(np.diff(conj.values, n=2, axis=j))
         bound += float(second.max()) / 8.0
     result.add(
         "biconjugation", resid <= 2.0 * bound + 1e-12,
@@ -271,7 +267,7 @@ def cmd_conjugate(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
 @_suite
 def cmd_identities(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
                    run: RunConfig) -> None:
-    tol = run.tol_identity if run.tol_identity is not None else cfg.tol_identity
+    tol = run.tol_identity
     probes = _probe_points(w.n)
 
     # prop3 and prop6_7 are two verdicts on one report: the one-sided one
@@ -303,7 +299,7 @@ def cmd_identities(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
         shrink = base / fine.max_abs_residual if fine.max_abs_residual > 0 else math.inf
         result.add(
             "refine_shrink",
-            base <= 1e-12 or shrink >= cfg.refine_shrink,
+            base <= 1e-12 or shrink >= REFINE_SHRINK,
             f"shrink={shrink!r}",
         )
     result.table(
@@ -371,11 +367,15 @@ def cmd_sandwich(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
 def cmd_moments(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
                 run: RunConfig) -> None:
     table = moments.moment_table(w, run.max_degree, cfg)
-    out_dir = Path(run.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"moments_table.{run.fmt}"
-    (table.to_csv if run.fmt == "csv" else table.to_json)(path)
-    result.artifacts.append(str(path))
+    if run.fmt == "csv":
+        result.table("moments_table", [f"alpha_{j + 1}" for j in range(w.n)]
+                     + ["value", "ln_value", "rel_error"], table.rows())
+    else:
+        # the JSON table keeps its own layout (`MomentTable.to_json`)
+        Path(run.out_dir).mkdir(parents=True, exist_ok=True)
+        path = Path(run.out_dir) / "moments_table.json"
+        table.to_json(path)
+        result.artifacts.append(str(path))
 
     check_rows = []
     lemma2_ok = True
@@ -529,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "check the residual shrink factor")
         p.add_argument("--volume-cells", type=int, default=None,
                        help="override cells per axis for grid volumes")
-        p.add_argument("--tol-identity", type=float, default=None)
+        p.add_argument("--tol-identity", type=float, default=TOL_IDENTITY)
     return parser
 
 
@@ -542,7 +542,7 @@ def main(argv=None) -> int:
     except WeightSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cfg = numerics_for(run)
+    cfg = NumericsConfig(run.refine)
     try:
         if command == "all":
             results = run_all(w, cfg, run)

@@ -225,7 +225,6 @@ class KConditionReport:
 
     products: dict
     K_hat: float
-    alpha_range: tuple
 
     def __post_init__(self):
         if any(p <= 0 for p in self.products.values()):
@@ -245,7 +244,6 @@ def k_condition_scan(phi: WeightFunction, alphas,
         phi_dual = dual_weight(phi, cfg)
     products = {}
     k_hat = 1.0
-    alphas = list(alphas)
     for alpha in sorted(alphas):
         if any(c < 1 for c in alpha.components):
             raise ValueError("scan indices must have strictly positive components")
@@ -255,11 +253,7 @@ def k_condition_scan(phi: WeightFunction, alphas,
         prod = v1 * v2 * float(np.prod(y))
         products[alpha] = prod
         k_hat = max(k_hat, prod, 1.0 / prod)
-    return KConditionReport(
-        products=products,
-        K_hat=k_hat,
-        alpha_range=tuple(sorted(a.components for a in alphas)),
-    )
+    return KConditionReport(products=products, K_hat=k_hat)
 
 
 @dataclass(frozen=True)

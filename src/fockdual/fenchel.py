@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._scan import Hull, conjugate_lines
-from .config import DEFAULT, NumericsConfig
+from .config import CONJ_STEP, DECAY_BUDGET, DEFAULT, T_FLOOR, NumericsConfig
 from .weights import WeightFunction, add_on_axes
 
 
@@ -227,34 +227,18 @@ def conjugate_values(axes_nodes: Sequence[np.ndarray], values: np.ndarray,
     return t
 
 
-@dataclass(frozen=True)
-class ConjugateResult:
-    dual: SampledFunction
-    slope_range: tuple[tuple[float, float], ...]
-
-
-def _slope_range(f: SampledFunction) -> tuple[tuple[float, float], ...]:
-    out = []
-    for j, ax in enumerate(f.axes):
-        d = np.diff(f.values, axis=j) / ax.step
-        out.append((float(d.min()), float(d.max())))
-    return tuple(out)
-
-
-def conjugate_nd(f: SampledFunction, dual_grid: Sequence[GridAxis]) -> ConjugateResult:
+def conjugate_nd(f: SampledFunction, dual_grid: Sequence[GridAxis]) -> SampledFunction:
     """n-dimensional discrete conjugate by iterated per-axis scans, one part at
     a time for an ``f`` with ``parts`` (equal up to roundoff; the dual has parts)."""
     dual_grid = tuple(dual_grid)
     if len(dual_grid) != f.n:
         raise ValueError("dual grid dimension mismatch")
     if f.parts is not None:
-        dual = SampledFunction.separable(dual_grid, [
+        return SampledFunction.separable(dual_grid, [
             conjugate_values([a.nodes()], part, [g.nodes()])
             for a, part, g in zip(f.axes, f.parts, dual_grid)])
-    else:
-        dual = SampledFunction(dual_grid, conjugate_values(
-            [a.nodes() for a in f.axes], f.values, [g.nodes() for g in dual_grid]))
-    return ConjugateResult(dual, _slope_range(f))
+    return SampledFunction(dual_grid, conjugate_values(
+        [a.nodes() for a in f.axes], f.values, [g.nodes() for g in dual_grid]))
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +318,12 @@ def _finite(vals: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(vals), vals, -np.inf)
 
 
-def _sup_line(objective: Callable[[np.ndarray], np.ndarray], cfg: NumericsConfig,
-              step: float, floor: Optional[float],
-              concave: bool = False) -> tuple[float, float, float, float]:
+def _sup_line(objective: Callable[[np.ndarray], np.ndarray], step: float,
+              floor: Optional[float], concave: bool = False) -> tuple[float, float, float, float]:
     """Maximize a 1-D objective over its decay box.
 
     Returns (value, argmax, lo, hi). The box is grown until the objective
-    has dropped ``decay_budget`` below its running max on both ends; a
+    has dropped `DECAY_BUDGET` below its running max on both ends; a
     floor pins the lower end (log-space degenerate directions approach
     their sup as t -> -inf, so the box stops at the configured floor).
     The max is then taken on a fine power-of-two grid over the box. Each
@@ -368,7 +351,6 @@ def _sup_line(objective: Callable[[np.ndarray], np.ndarray], cfg: NumericsConfig
     every fine node lies inside the coarse probe, which read that |r|
     first.
     """
-    budget = cfg.decay_budget
     lo = floor if floor is not None else -2.0
     hi = 2.0
     while True:
@@ -378,8 +360,8 @@ def _sup_line(objective: Callable[[np.ndarray], np.ndarray], cfg: NumericsConfig
         m = psi[peak]
         if not np.isfinite(m):
             raise DivergenceError("objective is -inf on the whole probe box")
-        need_hi = psi[-1] > m - budget
-        need_lo = psi[0] > m - budget and floor is None
+        need_hi = psi[-1] > m - DECAY_BUDGET
+        need_lo = psi[0] > m - DECAY_BUDGET and floor is None
         if not (need_hi or need_lo):
             break
         if need_hi:
@@ -390,7 +372,7 @@ def _sup_line(objective: Callable[[np.ndarray], np.ndarray], cfg: NumericsConfig
             lo = lo * 2 if lo <= -1 else lo - 2
             if lo < -_EXPAND_CAP:
                 raise DivergenceError("objective does not decay (superlinearity fails)")
-    keep = np.flatnonzero(psi > m - budget)
+    keep = np.flatnonzero(psi > m - DECAY_BUDGET)
     lo_box = t[max(keep[0] - 1, 0)]
     hi_box = t[min(keep[-1] + 1, len(t) - 1)]
     if floor is not None:
@@ -428,8 +410,7 @@ def _sup_line(objective: Callable[[np.ndarray], np.ndarray], cfg: NumericsConfig
     return value, float(nodes[k]), lo_box, hi_box
 
 
-def _coordinate_argmax(fn: GridFn, y: np.ndarray, cfg: NumericsConfig,
-                       floor: Optional[float]) -> np.ndarray:
+def _coordinate_argmax(fn: GridFn, y: np.ndarray, floor: Optional[float]) -> np.ndarray:
     """Approximate maximizer of <y, t> - fn(t) by per-coordinate bisection
     on the sign of the directional derivative (concave objectives)."""
     n = fn.n
@@ -464,14 +445,13 @@ def _coordinate_argmax(fn: GridFn, y: np.ndarray, cfg: NumericsConfig,
     return t
 
 
-def _axis_box(fn: GridFn, t_star: np.ndarray, y: np.ndarray, cfg: NumericsConfig,
+def _axis_box(fn: GridFn, t_star: np.ndarray, y: np.ndarray,
               floor: Optional[float]) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis decay box around the maximizer for the full objective."""
     n = fn.n
     psi_star = float(np.dot(y, t_star) - fn.at(t_star))
     lo = np.empty(n)
     hi = np.empty(n)
-    budget = cfg.decay_budget
     for j in range(n):
         for sign, store in ((1.0, "hi"), (-1.0, "lo")):
             d = 0.5
@@ -482,7 +462,7 @@ def _axis_box(fn: GridFn, t_star: np.ndarray, y: np.ndarray, cfg: NumericsConfig
                     edge = floor
                     break
                 val = float(np.dot(y, probe) - fn.at(probe))
-                if not math.isfinite(val) or val <= psi_star - budget:
+                if not math.isfinite(val) or val <= psi_star - DECAY_BUDGET:
                     edge = probe[j]
                     break
                 d *= 2.0
@@ -512,11 +492,10 @@ def _peak_curvature(fn: GridFn, t_star: np.ndarray, y: np.ndarray) -> np.ndarray
     return out
 
 
-def _axis_line(prof: Callable[[np.ndarray], np.ndarray], yj: float, cfg: NumericsConfig,
-               step: float, floor: Optional[float],
-               concave: bool) -> tuple[float, float, float, float, float]:
+def _axis_line(prof: Callable[[np.ndarray], np.ndarray], yj: float, step: float,
+               floor: Optional[float], concave: bool) -> tuple[float, float, float, float, float]:
     """(value, argmax, lo, hi, curvature) of sup_t yj t - prof(t)."""
-    val, tj, lo_j, hi_j = _sup_line(lambda t: yj * t - prof(t), cfg, step, floor, concave)
+    val, tj, lo_j, hi_j = _sup_line(lambda t: yj * t - prof(t), step, floor, concave)
     h = 1e-3
     curv = abs(
         float(prof(np.array(tj + h)) + prof(np.array(tj - h)) - 2 * prof(np.array(tj)))
@@ -547,7 +526,7 @@ def _truncated_sup(fn: GridFn, y: np.ndarray, cfg: NumericsConfig,
         # the axis coordinate alone
         lines = [
             memoized(fn.key, ("line", value_bytes(y[j]), cfg, floor),
-                     lambda p=prof, yj=y[j]: _axis_line(p, yj, cfg, step, floor, fn.convex))
+                     lambda p=prof, yj=y[j]: _axis_line(p, yj, step, floor, fn.convex))
             for j, prof in enumerate(fn.axis_profiles)
         ]
         total = 0.0
@@ -556,18 +535,11 @@ def _truncated_sup(fn: GridFn, y: np.ndarray, cfg: NumericsConfig,
         arg, lo, hi, curv = (np.array(col) for col in list(zip(*lines))[1:])
         return SupResult(total, arg, lo, hi, curv)
 
-    if fn.n == 1:
-        step = cfg.step_for(1, separable=False)
-        val, tj, lo_j, hi_j = _sup_line(
-            lambda t: y[0] * t - fn.at(t[:, None]), cfg, step, floor, fn.convex
-        )
-        arg = np.array([tj])
-        return SupResult(val, arg, np.array([lo_j]), np.array([hi_j]),
-                         _peak_curvature(fn, arg, y))
-
+    # every weight sets axis_profiles at n = 1 (it is separable there), so
+    # only hand-built functions reach the tensor path in one dimension
     step = cfg.step_for(fn.n, separable=False)
-    t_star = _coordinate_argmax(fn, y, cfg, floor)
-    lo, hi = _axis_box(fn, t_star, y, cfg, floor)
+    t_star = _coordinate_argmax(fn, y, floor)
+    lo, hi = _axis_box(fn, t_star, y, floor)
     axes = []
     total_nodes = 1
     for j in range(fn.n):
@@ -603,19 +575,15 @@ class _NumericDual:
         self._reach = -math.inf
 
     def _primal_extent(self, r_max: float) -> float:
-        fn = symmetrized_fn(self.w)
-        if fn.axis_profiles is not None:
-            prof = fn.axis_profiles[0]
-            _, _, _, hi = _sup_line(
-                lambda t: max(r_max, 1.0) * t - prof(t), self.cfg,
-                step=0.5, floor=0.0,
-            )
+        if self.w.is_separable:
+            prof = self.w.axis_profile()
+            _, _, _, hi = _sup_line(lambda t: max(r_max, 1.0) * t - prof(t),
+                                    step=0.5, floor=0.0)
             return hi
         slope = max(r_max * self.n, 1.0)
         _, _, _, hi = _sup_line(
-            lambda t: slope * t - self.w.eval(
-                np.repeat(t[:, None], self.n, axis=1)),
-            self.cfg, step=0.5, floor=0.0,
+            lambda t: slope * t - self.w.eval(np.repeat(t[:, None], self.n, axis=1)),
+            step=0.5, floor=0.0,
         )
         return hi
 
@@ -626,8 +594,10 @@ class _NumericDual:
             extent = self._primal_extent(r_max)
             if self._samples is None or self._samples[0][-1] < extent - 1e-12:
                 sep = self.w.is_separable
+                # a non-separable weight is sampled at the unrefined n = 2
+                # step, whatever its dimension and ``refine``
                 step = (self.cfg.step_for(1, separable=True) if sep
-                        else max(self.cfg.conj_step_nd, extent / 1200))
+                        else max(CONJ_STEP[1], extent / 1200))
                 nodes = np.linspace(0.0, extent, int(math.ceil(extent / step)) + 1)
                 vals = (self.w.axis_profile()(nodes) if sep
                         else self.w.eval_on_axes([nodes] * self.n))
@@ -678,7 +648,6 @@ def numeric_dual_weight(w: WeightFunction, cfg: NumericsConfig = DEFAULT) -> Wei
         n=w.n,
         eval=nd.eval,
         label=w.label + "*",
-        conjugate_closed_form=None,
         terms=None,
         grid_eval=nd.eval_on_axes,
         # the conjugate of a sum of per-axis profiles is the per-axis conjugate sum
@@ -688,20 +657,10 @@ def numeric_dual_weight(w: WeightFunction, cfg: NumericsConfig = DEFAULT) -> Wei
 
 
 def dual_weight(w: WeightFunction, cfg: NumericsConfig = DEFAULT) -> WeightFunction:
-    """The conjugate weight: structural closed form when available, else numeric."""
+    """The conjugate weight: the closed form `WeightFunction.dual` when there
+    is one, else numeric."""
     structural = w.dual()
-    if structural is not None:
-        return structural
-    if w.conjugate_closed_form is not None:
-        return WeightFunction(
-            n=w.n,
-            eval=w.conjugate_closed_form,
-            label=w.label + "*",
-            conjugate_closed_form=w.eval,
-            terms=None,
-            is_conjugate=True,
-        )
-    return numeric_dual_weight(w, cfg)
+    return structural if structural is not None else numeric_dual_weight(w, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +679,7 @@ def _check_probe(x: np.ndarray, n: int) -> np.ndarray:
 def log_conj(w: WeightFunction, x, cfg: NumericsConfig = DEFAULT) -> float:
     """(u[e])^*(x) = sup_t (<x, t> - u(e^t)) for x in [0, inf)^n."""
     x = _check_probe(x, w.n)
-    return truncated_sup(log_image(w), x, cfg, floor=cfg.t_floor).value
+    return truncated_sup(log_image(w), x, cfg, floor=T_FLOOR).value
 
 
 def dual_log_conj(w: WeightFunction, x, cfg: NumericsConfig = DEFAULT,
@@ -729,7 +688,7 @@ def dual_log_conj(w: WeightFunction, x, cfg: NumericsConfig = DEFAULT,
     x = _check_probe(x, w.n)
     if w_dual is None:
         w_dual = dual_weight(w, cfg)
-    return truncated_sup(log_image(w_dual), x, cfg, floor=cfg.t_floor).value
+    return truncated_sup(log_image(w_dual), x, cfg, floor=T_FLOOR).value
 
 
 def entropy_sum(x: np.ndarray) -> float:
@@ -782,7 +741,6 @@ def verify_identities(u: WeightFunction, points,
 @dataclass(frozen=True)
 class DivergenceProfile:
     rows: tuple[tuple[float, float], ...]
-    witness_x: tuple[float, ...]
     witness_sups: tuple[float, ...]
 
 
@@ -827,8 +785,4 @@ def divergence_profile(u: WeightFunction, directions, radii,
         else:
             axes = [np.linspace(-r, r, 201)] * u.n
             sups.append(float(tilt(-fn.on_axes(axes), witness, axes).max()))
-    return DivergenceProfile(
-        rows=tuple(rows),
-        witness_x=tuple(witness),
-        witness_sups=tuple(sups),
-    )
+    return DivergenceProfile(rows=tuple(rows), witness_sups=tuple(sups))

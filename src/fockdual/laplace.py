@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, NumericsConfig
+from .config import (DECAY_BUDGET, DEFAULT, MC_SAMPLES, QUAD_MAX_NODES, QUAD_PEAK_NODES,
+                     VOLUME_CELLS, NumericsConfig, by_dim)
 from .fenchel import (DivergenceError, GridFn, SupResult, key_terms, memoized, tilt,
                       truncated_sup, value_bytes)
 
@@ -257,16 +258,16 @@ def sublevel_volume(spec: SublevelSpec, method: str = "grid",
     inputs = ("volume", value_bytes(spec.y), spec.p, spec.hstar_y,
               value_bytes(spec.argmax), method, resolution, cfg, seed)
     return memoized(spec.h.key, inputs,
-                    lambda: _sublevel_volume(spec, method, resolution, cfg, seed))
+                    lambda: _sublevel_volume(spec, method, resolution, seed))
 
 
 def _sublevel_volume(spec: SublevelSpec, method: str, resolution: Optional[int],
-                     cfg: NumericsConfig, seed: int) -> VolumeEstimate:
+                     seed: int) -> VolumeEstimate:
     n = spec.h.n
     lo, hi = _bounding_box(spec)
     box_vol = float(np.prod(hi - lo))
     if method == "grid":
-        cells = resolution if resolution is not None else cfg.volume_cells(n)
+        cells = resolution if resolution is not None else by_dim(VOLUME_CELLS, n)
         if cells**n > 5e7:
             raise ValueError(
                 "volume grid too large; use method='monte-carlo' for this dimension"
@@ -292,7 +293,7 @@ def _sublevel_volume(spec: SublevelSpec, method: str, resolution: Optional[int],
             samples=cells**n,
         )
     if method == "monte-carlo":
-        samples = resolution if resolution is not None else cfg.mc_samples
+        samples = resolution if resolution is not None else MC_SAMPLES
         rng = np.random.Generator(np.random.Philox(key=seed))
         pts = rng.uniform(size=(samples, n)) * (hi - lo) + lo
         gap = spec.h.at(pts) + spec.hstar_y - pts @ spec.y
@@ -326,13 +327,13 @@ def _simpson_weights(count: int) -> np.ndarray:
     return w
 
 
-def _quad_count(box_len: float, sigma: float, cfg: NumericsConfig, n: int) -> int:
+def _quad_count(box_len: float, sigma: float, n: int) -> int:
     target = box_len / 512
     if math.isfinite(sigma) and sigma > 0:
-        target = min(target, sigma / cfg.quad_peak_nodes)
+        target = min(target, sigma / QUAD_PEAK_NODES)
     count = int(math.ceil(box_len / max(target, 1e-12))) + 1
     count = max(count, 65)
-    count = min(count, cfg.quad_max_nodes(n))
+    count = min(count, by_dim(QUAD_MAX_NODES, n))
     # force count = 4k + 1 so the stride-2 Simpson subgrid is itself valid
     rem = (count - 1) % 4
     if rem:
@@ -344,8 +345,8 @@ def laplace_integral(h: GridFn, y, cfg: NumericsConfig = DEFAULT,
                      sup: Optional[SupResult] = None) -> IntegralEstimate:
     """integral of e^{<x, y> - h(x)} dx by composite Simpson on the decay box.
 
-    The box is where the exponent has dropped ``decay_budget`` below its
-    max, so the relative truncation error is on the e^{-decay_budget}
+    The box is where the exponent has dropped `DECAY_BUDGET` below its
+    max, so the relative truncation error is on the e^{-DECAY_BUDGET}
     scale; the reported rel_error adds a stride-2 Simpson comparison.
     Computed once per process for each keyed ``h``, ``y``, ``cfg`` and box.
 
@@ -357,7 +358,7 @@ def laplace_integral(h: GridFn, y, cfg: NumericsConfig = DEFAULT,
     with n, not with nodes^n, and the 5e7-node guard applies only to the
     tensor. At n = 1 the two paths give the same floats; at n >= 2 the
     value moves only by roundoff. Once Simpson has converged, rel_error
-    is itself roundoff (about 1e-16) plus e^{-decay_budget}.
+    is itself roundoff (about 1e-16) plus e^{-DECAY_BUDGET}.
     """
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if sup is None:
@@ -395,7 +396,7 @@ def _laplace_integral(h: GridFn, y: np.ndarray, cfg: NumericsConfig,
     def axis(j: int) -> tuple[np.ndarray, float]:
         box_len = sup.hi[j] - sup.lo[j]
         sigma = 1.0 / math.sqrt(curvs[j]) if curvs[j] > 0 else math.inf
-        count = _quad_count(box_len, sigma, cfg, n)
+        count = _quad_count(box_len, sigma, n)
         return np.linspace(sup.lo[j], sup.hi[j], count), box_len / (count - 1)
 
     def axis_part(j: int, prof) -> tuple[float, float, float]:
@@ -419,7 +420,7 @@ def _laplace_integral(h: GridFn, y: np.ndarray, cfg: NumericsConfig,
         coarse *= part_coarse
     if fine <= 0:
         raise DivergenceError("integrand underflowed to zero on the whole box")
-    rel = abs(fine - coarse) / fine + math.exp(-cfg.decay_budget)
+    rel = abs(fine - coarse) / fine + math.exp(-DECAY_BUDGET)
     ln_value = float(peak + math.log(fine))
     value = math.exp(ln_value) if ln_value < 709 else math.inf
     return IntegralEstimate(value=value, ln_value=ln_value, rel_error=float(rel))
@@ -432,7 +433,6 @@ class SandwichReport:
     hstar_y: float
     ratio: float
     verdict: bool
-    n: int
     combined_rel_error: float
 
 
@@ -465,6 +465,5 @@ def sandwich_check(h: GridFn, y, cfg: NumericsConfig = DEFAULT,
         hstar_y=sup.value,
         ratio=ratio,
         verdict=verdict,
-        n=h.n,
         combined_rel_error=rel,
     )

@@ -24,7 +24,6 @@ import numpy as np
 from .config import DEFAULT, NumericsConfig
 from .fenchel import log_image, scale_fn, truncated_sup
 from .laplace import (
-    VolumeEstimate,
     default_volume_method,
     laplace_integral,
     make_sublevel_spec,
@@ -58,13 +57,6 @@ class MultiIndex:
     def shifted(self) -> tuple[int, ...]:
         """alpha + 1 elementwise (the polar-Jacobian shift)."""
         return tuple(c + 1 for c in self.components)
-
-    def factorial(self) -> int:
-        """prod alpha_j!, exact integer arithmetic."""
-        out = 1
-        for c in self.components:
-            out *= math.factorial(c)
-        return out
 
     def log_factorial(self) -> float:
         return sum(math.lgamma(c + 1) for c in self.components)
@@ -170,18 +162,6 @@ class MomentTable:
             out.append(alpha.components + (e.value, e.ln_value, e.rel_error))
         return out
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                [f"alpha_{j + 1}" for j in range(self.n)]
-                + ["value", "ln_value", "rel_error"]
-            )
-            for row in self.rows():
-                writer.writerow(
-                    [repr(float(v)) if isinstance(v, float) else v for v in row]
-                )
-
     def to_json(self, path) -> None:
         payload = {
             "phi_label": self.phi_label,
@@ -276,8 +256,6 @@ class Lemma4Report:
     lo_ln: float
     value_ln: float
     hi_ln: float
-    volume: VolumeEstimate
-    conj: float
     ok: bool
 
 
@@ -304,15 +282,12 @@ def lemma4_check(phi: WeightFunction, alpha: MultiIndex,
         lo_ln=lo_ln,
         value_ln=entry.ln_value,
         hi_ln=hi_ln,
-        volume=vol,
-        conj=spec.hstar_y,
         ok=ok,
     )
 
 
 @dataclass(frozen=True)
 class GrowthReport:
-    rate: float
     floor_ln: float
     log_convex_ok: bool
 
@@ -335,4 +310,4 @@ def growth_floor(table: MomentTable, rate: float, tol: float = 1e-6) -> GrowthRe
                 second = table.ln(top) - 2 * table.ln(mid) + table.ln(alpha)
                 if second < -tol:
                     ok = False
-    return GrowthReport(rate=rate, floor_ln=floor_ln, log_convex_ok=ok)
+    return GrowthReport(floor_ln=floor_ln, log_convex_ok=ok)

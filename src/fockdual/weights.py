@@ -95,7 +95,8 @@ class WeightFunction:
 
     ``eval`` is vectorized over a trailing coordinate axis of length ``n``.
     ``terms`` is set for catalog/JSON weights and drives separability
-    detection and structural duals; custom test doubles leave it None.
+    detection and the closed-form conjugate (`dual`); custom test doubles
+    leave it None.
     ``grid_eval`` and ``separable_profile`` let numerically-defined weights
     (discrete conjugates) plug into the product-grid fast paths.
     ``is_conjugate`` marks a weight built as the conjugate of another one.
@@ -104,7 +105,6 @@ class WeightFunction:
     n: int
     eval: Callable[[np.ndarray], np.ndarray]
     label: str
-    conjugate_closed_form: Optional[Callable[[np.ndarray], np.ndarray]] = None
     terms: Optional[tuple[PowerTerm, ...]] = None
     grid_eval: Optional[Callable[[Sequence[np.ndarray]], np.ndarray]] = None
     separable_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -162,7 +162,7 @@ class WeightFunction:
         return self.eval(np.stack(mesh, axis=-1))
 
     def dual(self) -> Optional["WeightFunction"]:
-        """Structural conjugate weight, when a closed form exists."""
+        """The conjugate weight in closed form (one power term), else None."""
         if self.terms is None or len(self.terms) != 1:
             return None
         dual_term = self.terms[0].dual()
@@ -170,25 +170,20 @@ class WeightFunction:
             n=self.n,
             eval=_terms_eval([dual_term]),
             label=self.label + "*",
-            conjugate_closed_form=self.eval,
             terms=(dual_term,),
         )
 
 
 def _from_terms(n: int, terms: Sequence[PowerTerm], label: str) -> WeightFunction:
     """The weight sum(terms) on n coordinates; with one term, its conjugate
-    has a closed form, the dual term."""
+    has a closed form, the dual term (`WeightFunction.dual`)."""
     # bool is an int subclass: reject True as a dimension
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise WeightSpecError(f"invalid dimension {n!r}")
     terms = tuple(terms)
-    return WeightFunction(
-        n=n,
-        eval=_terms_eval(terms),
-        label=label,
-        conjugate_closed_form=_terms_eval([terms[0].dual()]) if len(terms) == 1 else None,
-        terms=terms,
-    )
+    if len(terms) == 1:
+        terms[0].dual()  # the dual term must be a valid term too: reject at load
+    return WeightFunction(n=n, eval=_terms_eval(terms), label=label, terms=terms)
 
 
 def make_fock(n: int) -> WeightFunction:
@@ -272,7 +267,6 @@ class ClassVReport:
     monotone_ok: bool
     superlinear_ok: bool
     worst_violation: float
-    samples_used: int
 
 
 def _unit_directions(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -293,7 +287,6 @@ def validate_class_V(phi: WeightFunction) -> ClassVReport:
     n = phi.n
     axis = np.linspace(0.0, _BOX_RADIUS, _POINTS_PER_AXIS)
     grid = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    samples = 0
 
     # symmetry: does the raw evaluator already agree with its symmetrization?
     signs = rng.choice([-1.0, 1.0], size=grid.shape)
@@ -301,7 +294,6 @@ def validate_class_V(phi: WeightFunction) -> ClassVReport:
     sym_viol = float(np.max(np.abs(np.asarray(phi.eval(flipped), dtype=float) - phi.eval(grid))))
     if not math.isfinite(sym_viol):
         sym_viol = math.inf
-    samples += 2 * len(grid)
 
     # monotonicity along each axis on [0, inf)^n
     mono_viol = 0.0
@@ -312,14 +304,12 @@ def validate_class_V(phi: WeightFunction) -> ClassVReport:
         shifted[:, j] += delta
         drop = np.max(base_vals - phi.eval(shifted))
         mono_viol = max(mono_viol, float(drop))
-        samples += len(grid)
 
     # superlinearity: min over directions of g(R d)/R must grow by the margin
     dirs = _unit_directions(n, _N_DIRECTIONS, rng)
     r1, r2 = _RADII
     ratio1 = float(np.min(phi.eval(dirs * r1) / r1))
     ratio2 = float(np.min(phi.eval(dirs * r2) / r2))
-    samples += 2 * len(dirs)
     super_viol = max(0.0, _GROWTH_MARGIN - (ratio2 - ratio1))
 
     return ClassVReport(
@@ -327,7 +317,6 @@ def validate_class_V(phi: WeightFunction) -> ClassVReport:
         monotone_ok=mono_viol <= _TOLERANCE,
         superlinear_ok=super_viol <= 0.0,
         worst_violation=max(sym_viol, mono_viol, super_viol, 0.0),
-        samples_used=samples,
     )
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import fockdual as fd
 from fockdual import cli, fenchel
+from fockdual.config import CONJ_STEP, by_dim
 
 
 def run_cli(args):
@@ -105,12 +106,24 @@ def test_numeric_failure_exits_3(tmp_path, capsys):
     assert "objective does not decay" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cells", ["0", "-4"])
-def test_nonpositive_volume_cells_is_a_usage_error(tmp_path, capsys, cells):
-    assert run_cli(["sandwich", "--weight-preset", "fock:1", "--volume-cells", cells,
+_CELLS = "--volume-cells must be a positive cell count"
+_TOL = "--tol-identity must be a finite positive tolerance"
+
+
+@pytest.mark.parametrize("option,value,message", [
+    pytest.param("--volume-cells", "0", _CELLS, id="0"),
+    pytest.param("--volume-cells", "-4", _CELLS, id="-4"),
+    pytest.param("--seed", "-1", "--seed must be nonnegative", id="seed--1"),
+    pytest.param("--tol-identity", "nan", _TOL, id="tol-nan"),
+    pytest.param("--tol-identity", "inf", _TOL, id="tol-inf"),
+    pytest.param("--tol-identity", "0", _TOL, id="tol-0"),
+    pytest.param("--tol-identity", "-1", _TOL, id="tol--1"),
+])
+def test_nonpositive_volume_cells_is_a_usage_error(tmp_path, capsys, option, value, message):
+    # a bad run option exits 2 before any suite starts
+    assert run_cli(["sandwich", "--weight-preset", "fock:1", option, value,
                     "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "--volume-cells must be a positive cell count" in err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -128,7 +141,7 @@ def test_identities_and_sandwich_pass(tmp_path):
 
 def test_identities_nonconvex_expected_fail(tmp_path, nonconvex_double):
     run = cli.RunConfig(out_dir=str(tmp_path))
-    cfg = cli.numerics_for(run)
+    cfg = fd.NumericsConfig(run.refine)
     result = cli.cmd_identities(nonconvex_double, cfg, run)
     checks = dict((c, ok) for c, ok, _ in result.checks)
     assert checks["prop3"]
@@ -141,7 +154,7 @@ def test_refine_refines_a_numeric_dual(tmp_path):
     sep1 = Path(__file__).resolve().parents[1] / "fdbench" / "weights" / "sep1.json"
     nodes, _, _ = fenchel._NumericDual(fd.weight_from_json(sep1),
                                        fd.DEFAULT.refined())._table(2.0)
-    assert nodes[1] - nodes[0] <= fd.DEFAULT.conj_step_1d / 2
+    assert nodes[1] - nodes[0] <= by_dim(CONJ_STEP, 1) / 2
     assert run_cli(["identities", "--weight", str(sep1), "--refine",
                     "--out", str(tmp_path)]) == 0
     assert "refine_shrink,true" in (tmp_path / "identities_checks.csv").read_text()

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import fockdual as fd
-from fockdual import fenchel
+from fockdual import config, fenchel
+from fockdual.config import DECAY_BUDGET
 from fockdual.fenchel import GridFn, log_image, scale_fn, symmetrized_fn, truncated_sup
 from fockdual.laplace import _laplace_integral, _quad_count, _simpson_weights
 from fockdual.moments import fock_oracle, iter_indices
@@ -82,14 +83,14 @@ def test_rel_error_is_the_exact_simpson_difference_where_the_tensor_sum_rounds()
     y = np.full(3, 25.0)
     sup = truncated_sup(h, y, CFG)
     factored = _laplace_integral(h, y, CFG, sup)
-    count = _quad_count(sup.hi[0] - sup.lo[0], 1.0 / math.sqrt(sup.curvature[0]), CFG, 3)
+    count = _quad_count(sup.hi[0] - sup.lo[0], 1.0 / math.sqrt(sup.curvature[0]), 3)
     nodes = np.linspace(sup.lo[0], sup.hi[0], count)
     psi = -h.axis_profiles[0](nodes) + y[0] * nodes
     e = np.exp(psi - psi.max())
     fine = sum(Fraction(v) * int(w) for v, w in zip(e, _simpson_weights(count)))
     coarse = 2 * sum(Fraction(v) * int(w)
                      for v, w in zip(e[::2], _simpson_weights(len(e[::2]))))
-    exact = float(1 - (coarse / fine) ** 3) + math.exp(-CFG.decay_budget)
+    exact = float(1 - (coarse / fine) ** 3) + math.exp(-DECAY_BUDGET)
     assert exact > 1e-14
     # one ulp of the per-axis sums is about 2% of this difference
     assert factored.rel_error == pytest.approx(exact, rel=0.25, abs=0.0)
@@ -113,12 +114,13 @@ def test_fock4_moments_match_the_oracle():
         assert abs(math.expm1(table.ln(alpha) - oracle)) <= 1e-6, alpha.components
 
 
-def test_radial_weight_at_n4_still_hits_the_grid_guard():
+def test_radial_weight_at_n4_still_hits_the_grid_guard(monkeypatch):
     w = fd.weight_from_json({"n": 4, "terms": [{"type": "radial_power", "p": 2.0, "coef": 1.0}]})
     h = symmetrized_fn(w)
     assert h.axis_profiles is None
     y = np.zeros(4)
     # a coarse sup step keeps the 4-D sup grid itself under its own guard
-    sup = truncated_sup(h, y, dataclasses.replace(CFG, conj_step_3d=1.0))
+    monkeypatch.setattr(config, "CONJ_STEP", config.CONJ_STEP[:2] + (1.0,))
+    sup = truncated_sup(h, y, CFG)
     with pytest.raises(ValueError, match="integration grid too large"):
         _laplace_integral(h, y, CFG, sup)

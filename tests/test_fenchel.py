@@ -41,11 +41,11 @@ def test_conjugate_1d_quadratic_self_conjugacy():
     ax = grid(-6.0, 6.0, 1201)
     f = fd.SampledFunction((ax,), ax.nodes() ** 2 / 2)
     res = fd.conjugate_nd(f, (grid(-4.0, 4.0, 81),))
-    nodes = res.dual.axes[0].nodes()
+    nodes = res.axes[0].nodes()
     k = int(np.argmin(np.abs(nodes - 2.0)))
-    assert res.dual.values[k] == pytest.approx(2.0, abs=1e-4)
+    assert res.values[k] == pytest.approx(2.0, abs=1e-4)
     # discrete convexity of the dual along the axis
-    second = np.diff(res.dual.values, n=2)
+    second = np.diff(res.values, n=2)
     assert second.min() >= -1e-12
 
 
@@ -56,15 +56,15 @@ def test_conjugate_1d_exponential():
     # brute-force oracle over the same nodes
     t = ax.nodes()
     oracle = np.max(1.0 * t - np.exp(t))
-    assert res.dual.values[0] == pytest.approx(oracle, abs=1e-12)
-    assert res.dual.values[0] == pytest.approx(-1.0, abs=1e-5)
+    assert res.values[0] == pytest.approx(oracle, abs=1e-12)
+    assert res.values[0] == pytest.approx(-1.0, abs=1e-5)
 
 
 def test_conjugate_1d_abs():
     ax = grid(-5.0, 5.0, 201)
     f = fd.SampledFunction((ax,), np.abs(ax.nodes()))
     res = fd.conjugate_nd(f, (grid(0.5, 1.0, 2),))
-    assert res.dual.values[0] == pytest.approx(0.0, abs=1e-12)
+    assert res.values[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_conjugate_1d_matches_bruteforce_everywhere(conjugate_bruteforce):
@@ -74,7 +74,7 @@ def test_conjugate_1d_matches_bruteforce_everywhere(conjugate_bruteforce):
     dual = grid(-5.0, 5.0, 97)
     res = fd.conjugate_nd(f, (dual,))
     bf = conjugate_bruteforce(f, [dual])
-    assert np.max(np.abs(res.dual.values - bf)) <= 1e-12
+    assert np.max(np.abs(res.values - bf)) <= 1e-12
 
 
 def test_conjugate_1d_rejects_nd():
@@ -91,7 +91,7 @@ def test_conjugate_nd_separable_example():
     f = fd.SampledFunction(axes, x1**4 / 4 + x2**2 / 2)
     dual = (grid(0.0, 2.0, 5), grid(0.0, 2.0, 5))
     res = fd.conjugate_nd(f, dual)
-    assert res.dual.values[2, 2] == pytest.approx(1.25, abs=1e-3)
+    assert res.values[2, 2] == pytest.approx(1.25, abs=1e-3)
 
 
 def test_conjugate_nd_fock_and_flat_box(fock2):
@@ -100,12 +100,12 @@ def test_conjugate_nd_fock_and_flat_box(fock2):
     f = fd.SampledFunction(axes, vals)
     dual = (grid(1.0, 2.0, 2), grid(1.0, 2.0, 2))
     res = fd.conjugate_nd(f, dual)
-    assert res.dual.values[0, 0] == pytest.approx(1.0, abs=1e-3)
+    assert res.values[0, 0] == pytest.approx(1.0, abs=1e-3)
 
     flat_axes = (grid(-1.0, 1.0, 11), grid(-1.0, 1.0, 11))
     flat = fd.SampledFunction(flat_axes, np.zeros((11, 11)))
     res2 = fd.conjugate_nd(flat, (grid(2.0, 2.0 + 1e-9, 2), grid(3.0, 3.0 + 1e-9, 2)))
-    assert res2.dual.values[0, 0] == pytest.approx(5.0, abs=1e-8)
+    assert res2.values[0, 0] == pytest.approx(5.0, abs=1e-8)
 
 
 def _sep1(n):
@@ -124,18 +124,17 @@ def test_per_axis_conjugate_matches_tensor_scan_and_oracle(w, conjugate_brutefor
     dual_grid = tuple(grid(-4.0, 4.0, dual_count) for _ in range(w.n))
     got = fd.conjugate_nd(f, dual_grid)
     want = fd.conjugate_nd(tensor, dual_grid)
-    assert got.dual.parts is not None and want.dual.parts is None
-    assert got.slope_range == want.slope_range
-    scale = np.abs(want.dual.values).max()
-    np.testing.assert_allclose(got.dual.values, want.dual.values, rtol=1e-12, atol=1e-12 * scale)
-    np.testing.assert_allclose(got.dual.values, conjugate_bruteforce(f, dual_grid),
+    assert got.parts is not None and want.parts is None
+    scale = np.abs(want.values).max()
+    np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(got.values, conjugate_bruteforce(f, dual_grid),
                                rtol=1e-12, atol=1e-12 * scale)
     # the back-transform of a factored dual is factored too
-    back = fd.conjugate_nd(got.dual, primal)
-    back_tensor = fd.conjugate_nd(want.dual, primal)
-    assert back.dual.parts is not None
-    np.testing.assert_allclose(back.dual.values, back_tensor.dual.values, rtol=1e-12,
-                               atol=1e-12 * np.abs(back_tensor.dual.values).max())
+    back = fd.conjugate_nd(got, primal)
+    back_tensor = fd.conjugate_nd(want, primal)
+    assert back.parts is not None
+    np.testing.assert_allclose(back.values, back_tensor.values, rtol=1e-12,
+                               atol=1e-12 * np.abs(back_tensor.values).max())
 
 
 def test_per_axis_conjugate_scans_one_row_per_axis(monkeypatch, fock2):
@@ -163,7 +162,7 @@ def test_conjugate_nd_equals_bruteforce_random(conjugate_bruteforce, seed):
     dual = (grid(-3.0, 3.0, 9), grid(-2.0, 2.0, 7))
     res = fd.conjugate_nd(f, dual)
     bf = conjugate_bruteforce(f, dual)
-    assert np.max(np.abs(res.dual.values - bf)) <= 1e-10
+    assert np.max(np.abs(res.values - bf)) <= 1e-10
 
 
 def test_conjugate_nd_dimension_mismatch(fock2):
@@ -182,7 +181,7 @@ def test_conjugate_nd_bruteforce_on_large_grid(conjugate_bruteforce, fock2):
     dual = (grid(-2.0, 2.0, 5), grid(-2.0, 2.0, 5))
     res = fd.conjugate_nd(f, dual)
     bf = conjugate_bruteforce(f, dual)
-    assert np.max(np.abs(res.dual.values - bf)) <= 1e-10
+    assert np.max(np.abs(res.values - bf)) <= 1e-10
 
 
 def test_order_reversal():
@@ -190,8 +189,8 @@ def test_order_reversal():
     f = fd.SampledFunction((ax,), ax.nodes() ** 2 / 2)
     g = fd.SampledFunction((ax,), ax.nodes() ** 2 / 2 + np.abs(ax.nodes()))
     dual = grid(-4.0, 4.0, 301)
-    fstar = fd.conjugate_nd(f, (dual,)).dual.values
-    gstar = fd.conjugate_nd(g, (dual,)).dual.values
+    fstar = fd.conjugate_nd(f, (dual,)).values
+    gstar = fd.conjugate_nd(g, (dual,)).values
     assert np.all(fstar >= gstar)
 
 
@@ -200,12 +199,12 @@ def test_biconjugation_within_interpolation_bound():
     f = fd.SampledFunction((ax,), ax.nodes() ** 2 / 2)
     dual = grid(-7.0, 7.0, 173)
     fstar = fd.conjugate_nd(f, (dual,))
-    back = fd.conjugate_nd(fstar.dual, (ax,))
-    gap = np.max(np.abs(f.values[1:-1] - back.dual.values[1:-1]))
-    bound = 2 * np.max(np.abs(np.diff(fstar.dual.values, n=2))) / 8
+    back = fd.conjugate_nd(fstar, (ax,))
+    gap = np.max(np.abs(f.values[1:-1] - back.values[1:-1]))
+    bound = 2 * np.max(np.abs(np.diff(fstar.values, n=2))) / 8
     assert gap <= bound + 1e-12
     # the discrete biconjugate never exceeds the original
-    assert np.max(back.dual.values - f.values) <= 1e-12
+    assert np.max(back.values - f.values) <= 1e-12
 
 
 @given(
@@ -218,19 +217,10 @@ def test_fenchel_young_at_nodes(xi, ki):
     f_vals = np.abs(nodes) ** 3 / 3
     f = fd.SampledFunction((ax,), f_vals)
     dual = grid(-6.0, 6.0, 161)
-    fstar = fd.conjugate_nd(f, (dual,)).dual.values
+    fstar = fd.conjugate_nd(f, (dual,)).values
     x = nodes[xi]
     y = dual.nodes()[ki]
     assert f_vals[xi] + fstar[ki] >= x * y - 1e-10
-
-
-def test_slope_range():
-    ax = grid(-5.0, 5.0, 201)
-    f = fd.SampledFunction((ax,), np.abs(ax.nodes()))
-    res = fd.conjugate_nd(f, (grid(-1, 1, 3),))
-    (lo, hi), = res.slope_range
-    assert lo == pytest.approx(-1.0, abs=1e-10)
-    assert hi == pytest.approx(1.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +308,7 @@ def test_prop3_holds_but_equality_fails_for_nonconvex(nonconvex_double, probes_1
 def test_numeric_dual_matches_closed_form(power4):
     numeric = fd.numeric_dual_weight(power4)
     y = np.linspace(0.0, 4.0, 33)[:, None]
-    closed = power4.conjugate_closed_form(y)
+    closed = power4.dual().eval(y)
     assert np.max(np.abs(numeric.eval(y) - closed)) <= 1e-6
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import fockdual as fd
 from fockdual import laplace
+from fockdual.config import DECAY_BUDGET
 from fockdual.fenchel import log_image, symmetrized_fn
 from fockdual.laplace import _sublevel_volume
 
@@ -59,7 +60,7 @@ def test_volume_monte_carlo_agrees_with_grid(h2):
     # seeded generator: identical reruns, from the memo and computed afresh
     vm2 = fd.sublevel_volume(spec, method="monte-carlo", resolution=200_000, seed=7)
     assert vm2.value == vm.value
-    fresh = _sublevel_volume(spec, "monte-carlo", 200_000, fd.DEFAULT, 7)
+    fresh = _sublevel_volume(spec, "monte-carlo", 200_000, 7)
     assert fresh.value == vm.value
 
 
@@ -87,7 +88,7 @@ def test_integral_gaussians(h1, h2):
 
 def test_integral_reports_error_estimate(h1):
     est = fd.laplace_integral(h1, [0.3])
-    assert est.rel_error >= math.exp(-fd.DEFAULT.decay_budget)
+    assert est.rel_error >= math.exp(-DECAY_BUDGET)
     assert math.exp(est.ln_value) == pytest.approx(est.value, rel=1e-12)
 
 

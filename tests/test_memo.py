@@ -8,6 +8,7 @@ import pytest
 
 import fockdual as fd
 from fockdual import cli, fenchel, laplace
+from fockdual.config import T_FLOOR
 from fockdual.fenchel import log_image, scale_fn, symmetrized_fn
 from fockdual.moments import iter_indices
 
@@ -96,7 +97,7 @@ def test_distinct_inputs_never_alias(memo, power4):
     y = np.array([0.2])
     cfg = fd.DEFAULT
     cases = [
-        (h, cfg, None), (h, cfg, cfg.t_floor), (h, cfg.refined(), None),
+        (h, cfg, None), (h, cfg, T_FLOOR), (h, cfg.refined(), None),
         (log_image(fd.dual_weight(power4)), cfg, None),
     ]
     def fields(res):
@@ -187,11 +188,11 @@ def test_identities_compute_one_report_per_grid(monkeypatch, tmp_path):
 
     monkeypatch.setattr(fenchel, "verify_identities", counting)
     run = cli.RunConfig(weight_preset="fock:1", out_dir=str(tmp_path / "plain"))
-    assert cli.cmd_identities(fd.make_fock(1), cli.numerics_for(run), run).passed
+    assert cli.cmd_identities(fd.make_fock(1), fd.NumericsConfig(run.refine), run).passed
     assert cfgs == [fd.DEFAULT]
 
     cfgs.clear()
     run = cli.RunConfig(weight_preset="fock:1", refine=1, out_dir=str(tmp_path / "fine"))
-    cfg = cli.numerics_for(run)
+    cfg = fd.NumericsConfig(run.refine)
     assert cli.cmd_identities(fd.make_fock(1), cfg, run).passed
     assert cfgs == [cfg, cfg.refined()]

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import fockdual as fd
 from fockdual import cli, fenchel
+from fockdual.config import CONJ_STEP, T_FLOOR, by_dim
 from fockdual.fenchel import (_fine_nodes, _sup_line, log_image, scale_fn, symmetrized_fn,
                               truncated_sup)
 
@@ -57,7 +58,7 @@ def test_window_equals_whole_grid_bitwise(memo, w):
             fn = make(w)
             assert fn.convex
             whole = dataclasses.replace(fn, convex=False, key=None)
-            for floor in (None, cfg.t_floor):
+            for floor in (None, T_FLOOR):
                 for y in (0.0, 1.37, 6.0):
                     if make is not symmetrized_fn and floor is None and y == 0.0:
                         # sup approached only as t -> -inf: no floor, no box
@@ -85,8 +86,8 @@ def test_window_evaluates_few_fine_nodes(monkeypatch):
     monkeypatch.setattr(fenchel, "_fine_nodes", building(_fine_nodes))
     monkeypatch.setattr(np, "linspace", building(np.linspace))
     prof = log_image(fd.make_fock(1)).axis_profiles[0]
-    step = CFG.conj_step_1d
-    for y, floor in ((1.37, CFG.t_floor), (0.0, CFG.t_floor), (3.8, None)):
+    step = by_dim(CONJ_STEP, 1)
+    for y, floor in ((1.37, T_FLOOR), (0.0, T_FLOOR), (3.8, None)):
         built.clear()
         inputs = []
 
@@ -94,7 +95,7 @@ def test_window_evaluates_few_fine_nodes(monkeypatch):
             inputs.append(t)
             return y * t - prof(t)
 
-        _, _, lo, hi = _sup_line(counting, CFG, step, floor, concave=True)
+        _, _, lo, hi = _sup_line(counting, step, floor, concave=True)
         intervals = 1 << max(1, math.ceil(math.log2((hi - lo) / step)))
         fine_step = (hi - lo) / intervals
         sizes = [t.size for t in inputs]
@@ -137,8 +138,8 @@ def test_nonconvex_weight_keeps_the_whole_grid(nonconvex_double):
     def objective(t):
         return 2.5 * t - prof(t)
 
-    whole = _sup_line(objective, CFG, step, CFG.t_floor, concave=False)
-    windowed = _sup_line(objective, CFG, step, CFG.t_floor, concave=True)
+    whole = _sup_line(objective, step, T_FLOOR, concave=False)
+    windowed = _sup_line(objective, step, T_FLOOR, concave=True)
     # the window would stop at a local max far below the global one
     assert windowed[0] < whole[0] - 1e-3
     assert abs(windowed[1] - whole[1]) > 0.5
@@ -155,9 +156,9 @@ def test_window_max_on_a_cut_edge_falls_back_to_the_whole_grid():
         fine_vals = np.where((t > -1.5) & (t < 2.0), t, -100.0)
         return np.where(on_coarse, coarse_vals, fine_vals)
 
-    oracle = _sup_line(objective, CFG, CFG.conj_step_1d, None, concave=False)
+    oracle = _sup_line(objective, by_dim(CONJ_STEP, 1), None, concave=False)
     assert oracle[1] > 1.9
-    got = _sup_line(objective, CFG, CFG.conj_step_1d, None, concave=True)
+    got = _sup_line(objective, by_dim(CONJ_STEP, 1), None, concave=True)
     assert _bits(*got) == _bits(*oracle)
 
 
@@ -173,10 +174,10 @@ def test_span_max_on_a_cut_edge_widens_to_the_window():
         centre = 0.0 if 0.001 < spacing < 0.2 else 0.2
         return -50.0 * np.abs(t - centre)
 
-    oracle = _sup_line(objective, CFG, CFG.conj_step_1d, None, concave=False)
+    oracle = _sup_line(objective, by_dim(CONJ_STEP, 1), None, concave=False)
     count = sizes[-1]
     sizes.clear()
-    got = _sup_line(objective, CFG, CFG.conj_step_1d, None, concave=True)
+    got = _sup_line(objective, by_dim(CONJ_STEP, 1), None, concave=True)
     assert _bits(*got) == _bits(*oracle)
     assert abs(got[1] - 0.2) < 1e-3
     # the span, then the window; never the whole grid
@@ -186,16 +187,14 @@ def test_span_max_on_a_cut_edge_widens_to_the_window():
 
 def test_convexity_follows_the_construction(nonsmooth_convex):
     sep1 = fd.weight_from_json(SEP1_WEIGHT)
-    closed = fd.WeightFunction(n=1, eval=lambda x: np.abs(x[..., 0]) ** 2 / 2,
-                               label="custom",
-                               conjugate_closed_form=lambda y: np.abs(y[..., 0]) ** 2 / 2)
+    custom = fd.WeightFunction(n=1, eval=lambda x: np.abs(x[..., 0]) ** 2 / 2, label="custom")
     convex = [sep1, fd.dual_weight(fd.make_fock(2)), fd.numeric_dual_weight(sep1),
-              fd.dual_weight(closed)]
+              fd.dual_weight(custom)]
     for w in convex:
         assert w.convex_by_construction
         assert symmetrized_fn(w).convex and log_image(w).convex
     # an evaluator alone proves nothing, convex or not
-    for w in (closed, nonsmooth_convex):
+    for w in (custom, nonsmooth_convex):
         assert not w.convex_by_construction
         assert not symmetrized_fn(w).convex and not log_image(w).convex
     fn = log_image(sep1)

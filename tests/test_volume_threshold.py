@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import fockdual as fd
 from fockdual import fenchel, laplace
+from fockdual.config import VOLUME_CELLS, by_dim
 from fockdual.fenchel import GridFn, log_image, scale_fn, symmetrized_fn, truncated_sup
 from fockdual.laplace import SublevelSpec, _cells, _sublevel_volume, _threshold_cells
 
@@ -91,12 +92,12 @@ def test_separable_volume_equals_whole_grid_bitwise(w, form):
         for p in (0.01, 0.5, 1.0):
             spec = _spec(h, y, p)
             for resolution in (None, 4, 9, 16, 33):
-                cells = resolution if resolution is not None else CFG.volume_cells(2)
+                cells = resolution if resolution is not None else by_dim(VOLUME_CELLS, 2)
                 sizes, profile_sizes = [], []
                 got = _sublevel_volume(
                     dataclasses.replace(spec, h=_counting(h, sizes, profile_sizes)),
-                    "grid", resolution, CFG, 0)
-                want = _sublevel_volume(_whole(spec), "grid", resolution, CFG, 0)
+                    "grid", resolution, 0)
+                want = _sublevel_volume(_whole(spec), "grid", resolution, 0)
                 assert _fields(got) == _fields(want), (y, p, resolution)
                 # the bounding-box probes only, then one vector per axis
                 assert set(sizes) <= {PROBE}, (y, p, resolution)
@@ -108,12 +109,12 @@ def test_lemma4_volume_evaluates_two_axis_vectors():
     spec = _spec(log_image(fd.make_fock(2)), [4.0, 5.0], 0.5)
     sizes, profile_sizes = [], []
     got = _sublevel_volume(dataclasses.replace(spec, h=_counting(spec.h, sizes, profile_sizes)),
-                           "grid", None, CFG, 0)
-    cells = CFG.volume_cells(2)
+                           "grid", None, 0)
+    cells = by_dim(VOLUME_CELLS, 2)
     assert sizes and set(sizes) == {PROBE}
     assert profile_sizes == [cells, cells]
     assert got.samples == cells**2
-    assert _fields(got) == _fields(_sublevel_volume(_whole(spec), "grid", None, CFG, 0))
+    assert _fields(got) == _fields(_sublevel_volume(_whole(spec), "grid", None, 0))
 
 
 @pytest.mark.parametrize("h", [
@@ -128,7 +129,7 @@ def test_other_functions_keep_the_membership_grid(h, monkeypatch):
 
     monkeypatch.setattr(laplace, "_separable_cells", refuse)
     spec = _spec(h, np.full(h.n, 0.5), 1.0)
-    assert _sublevel_volume(spec, "grid", 8, CFG, 0).value > 0
+    assert _sublevel_volume(spec, "grid", 8, 0).value > 0
 
 
 @given(c=st.lists(st.integers(-4, 4), min_size=1, max_size=12),
@@ -154,8 +155,8 @@ def test_cell_on_the_boundary_falls_back_to_the_whole_grid(monkeypatch):
     spec = SublevelSpec(h=h, y=np.zeros(2), p=p, hstar_y=0.0, argmax=np.zeros(2))
     sizes, profile_sizes = [], []
     got = _sublevel_volume(dataclasses.replace(spec, h=_counting(h, sizes, profile_sizes)),
-                           "grid", 64, CFG, 0)
+                           "grid", 64, 0)
     assert profile_sizes == [64, 64]
     # the fallback evaluates the membership grid (here through its window)
     assert sizes and max(sizes) > 64
-    assert _fields(got) == _fields(_sublevel_volume(_whole(spec), "grid", 64, CFG, 0))
+    assert _fields(got) == _fields(_sublevel_volume(_whole(spec), "grid", 64, 0))

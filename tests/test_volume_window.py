@@ -13,6 +13,7 @@ import pytest
 
 import fockdual as fd
 from fockdual import fenchel, laplace
+from fockdual.config import VOLUME_CELLS, by_dim
 from fockdual.fenchel import GridFn, log_image, symmetrized_fn, truncated_sup
 from fockdual.laplace import SublevelSpec, _sublevel_volume
 
@@ -78,11 +79,11 @@ def test_window_equals_whole_grid_bitwise(w, kind):
         for p in (0.5, 1.0):
             spec = _spec(h, y, p)
             for resolution in (None, 9, 16):
-                cells = resolution if resolution is not None else CFG.volume_cells(w.n)
+                cells = resolution if resolution is not None else by_dim(VOLUME_CELLS, w.n)
                 sizes = []
                 got = _sublevel_volume(dataclasses.replace(spec, h=_counting(h, sizes)),
-                                       "grid", resolution, CFG, 0)
-                want = _sublevel_volume(_whole(spec), "grid", resolution, CFG, 0)
+                                       "grid", resolution, 0)
+                want = _sublevel_volume(_whole(spec), "grid", resolution, 0)
                 assert _fields(got) == _fields(want), (y, p, resolution)
                 assert got.samples == cells**w.n
                 windowed += cells**w.n not in sizes
@@ -96,12 +97,12 @@ def test_lemma4_volume_evaluates_a_fifth_of_the_grid():
     spec = _spec(log_image(fd.make_fock(2)), [4.0, 5.0], 0.5)
     sizes = []
     got = _sublevel_volume(dataclasses.replace(spec, h=_counting(spec.h, sizes)),
-                           "grid", None, CFG, 0)
-    cells = CFG.volume_cells(2)
+                           "grid", None, 0)
+    cells = by_dim(VOLUME_CELLS, 2)
     # box probes included
     assert sum(sizes) <= 0.2 * cells**2
     assert got.samples == cells**2
-    assert _fields(got) == _fields(_sublevel_volume(_whole(spec), "grid", None, CFG, 0))
+    assert _fields(got) == _fields(_sublevel_volume(_whole(spec), "grid", None, 0))
 
 
 def test_nonconvex_weight_keeps_the_whole_grid(nonconvex_double):
@@ -109,8 +110,8 @@ def test_nonconvex_weight_keeps_the_whole_grid(nonconvex_double):
     assert not h.convex
     spec = _spec(h, [1.0], 1.0)
     sizes = []
-    _sublevel_volume(dataclasses.replace(spec, h=_counting(h, sizes)), "grid", None, CFG, 0)
-    assert CFG.volume_cells(1) in sizes
+    _sublevel_volume(dataclasses.replace(spec, h=_counting(h, sizes)), "grid", None, 0)
+    assert by_dim(VOLUME_CELLS, 1) in sizes
 
 
 def test_empty_coarse_pass_keeps_the_whole_grid():
@@ -120,9 +121,9 @@ def test_empty_coarse_pass_keeps_the_whole_grid():
     spec = _spec(h, [0.5, -0.5], 1.0)
     # 4 cells per axis: every 8th cell centre, from the 5th on, is no cell at all
     sizes = []
-    got = _sublevel_volume(dataclasses.replace(spec, h=_counting(h, sizes)), "grid", 4, CFG, 0)
+    got = _sublevel_volume(dataclasses.replace(spec, h=_counting(h, sizes)), "grid", 4, 0)
     assert 4**2 in sizes
-    assert _fields(got) == _fields(_sublevel_volume(_whole(spec), "grid", 4, CFG, 0))
+    assert _fields(got) == _fields(_sublevel_volume(_whole(spec), "grid", 4, 0))
 
 
 def _fixed_box(monkeypatch, n: int) -> np.ndarray:
@@ -149,9 +150,9 @@ def test_member_on_a_cut_face_falls_back_to_the_whole_grid(monkeypatch):
     spec = SublevelSpec(h=h, y=np.zeros(1), p=1.0, hstar_y=0.0, argmax=np.zeros(1))
     sizes = []
     got = _sublevel_volume(dataclasses.replace(spec, h=_counting(spec.h, sizes)),
-                           "grid", 64, CFG, 0)
+                           "grid", 64, 0)
     assert 64 in sizes
-    want = _sublevel_volume(_whole(spec), "grid", 64, CFG, 0)
+    want = _sublevel_volume(_whole(spec), "grid", 64, 0)
     assert _fields(got) == _fields(want)
     assert got.value == (16 + 3) / 8
 
@@ -177,8 +178,8 @@ def test_thin_convex_set_is_counted_whole(monkeypatch):
     h = GridFn(n=2, at=lambda x: fn(x[..., 0], x[..., 1]),
                on_axes=lambda axes: fn(axes[0][:, None], axes[1][None, :]), convex=True)
     spec = SublevelSpec(h=h, y=np.zeros(2), p=1.0, hstar_y=0.0, argmax=c)
-    got = _sublevel_volume(spec, "grid", 64, CFG, 0)
-    want = _sublevel_volume(_whole(spec), "grid", 64, CFG, 0)
+    got = _sublevel_volume(spec, "grid", 64, 0)
+    want = _sublevel_volume(_whole(spec), "grid", 64, 0)
     assert _fields(got) == _fields(want)
     assert got.value == 13 / 64
 
