@@ -144,14 +144,9 @@ def _probe_points(n: int) -> list:
 
 
 def _axis_weight(w: WeightFunction) -> WeightFunction:
-    """The 1-D restriction of a separable weight. With terms it is the n = 1
-    weight with the same terms: the same floats, a memo key, and convex by
-    construction."""
-    prof = w.axis_profile()
-    return WeightFunction(
-        n=1, eval=lambda x: prof(x[..., 0]), label=w.label + "|axis",
-        terms=w.terms,
-    )
+    """The 1-D restriction of a separable weight: the n = 1 weight with the
+    same terms, so the same floats, a memo key, and convex by construction."""
+    return weights._from_terms(1, w.terms, w.label + "|axis")
 
 
 # ---------------------------------------------------------------------------

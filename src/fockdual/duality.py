@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import DEFAULT, NumericsConfig
 from .fenchel import dual_weight, log_image, scale_fn, truncated_sup
-from .laplace import default_volume_method, laplace_integral, make_sublevel_spec, sublevel_volume
+from .laplace import laplace_integral, make_sublevel_spec, sublevel_volume
 from .moments import LN_2PI, MomentTable, MultiIndex, index_positions
 from .weights import WeightFunction
 
@@ -233,7 +233,7 @@ class KConditionReport:
 
 def _half_slack_volume(w: WeightFunction, y: np.ndarray, cfg: NumericsConfig) -> float:
     spec = make_sublevel_spec(log_image(w), y, 0.5, cfg)
-    return sublevel_volume(spec, method=default_volume_method(w.n), cfg=cfg).value
+    return sublevel_volume(spec, cfg=cfg).value
 
 
 def k_condition_scan(phi: WeightFunction, alphas,

@@ -95,7 +95,7 @@ class GridFn:
 
     ``axis_profiles`` is set when the function splits as a sum of 1-D
     profiles, which unlocks the exact per-axis conjugation fast path.
-    ``key`` names the function by value (see `_weight_key`); sups, volumes
+    ``key`` names the function by value (see `_weight_image`); sups, volumes
     and integrals of a keyed function are memoized on it (see `memoized`).
     A keyed separable function has the same profile on every axis.
     ``convex`` is set when the function is convex by construction, so that
@@ -110,54 +110,45 @@ class GridFn:
     convex: bool = False
 
 
-def _weight_key(kind: str, w: WeightFunction) -> Optional[tuple]:
-    """The key of a grid function made from a weight by value: its terms
-    define its evaluators, so fock:N and its structural dual fock:N* give one
-    key. Weights without terms (numeric duals, whose tables grow, and custom
-    evaluators) give none."""
-    return None if w.terms is None else (kind, (w.n, w.terms))
+def _weight_image(w: WeightFunction, kind: str, at, on_axes,
+                  profile=lambda prof: prof) -> GridFn:
+    """The image ``kind`` ("sym" or "log") of the weight ``w``: it splits over
+    the axes when ``w`` does (``profile`` maps w's axis profile to its own)
+    and is convex when ``w`` is. Its key is w's terms, which define the
+    evaluators (fock:N and its structural dual fock:N* give one key); a
+    weight without terms (a numeric dual, whose table grows, or a custom
+    evaluator) gives none."""
+    profiles = (profile(w.axis_profile()),) * w.n if w.is_separable else None
+    return GridFn(n=w.n, at=at, on_axes=on_axes, axis_profiles=profiles,
+                  key=None if w.terms is None else (kind, (w.n, w.terms)),
+                  convex=w.convex)
 
 
 def symmetrized_fn(w: WeightFunction) -> GridFn:
     """The even extension g(x) = eval(abs x) as a grid function on R^n; it is
     convex when w is convex and nondecreasing on [0, inf)^n."""
-    profiles = None
-    if w.is_separable:
-        prof = w.axis_profile()
-        profiles = tuple([prof] * w.n)
-    return GridFn(
-        n=w.n,
-        at=w.symmetrized,
-        on_axes=w.eval_on_axes,
-        axis_profiles=profiles,
-        key=_weight_key("sym", w),
-        convex=w.convex_by_construction,
-    )
+    return _weight_image(w, "sym", w.symmetrized, w.eval_on_axes)
+
+
+def _of_exp(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """t -> f(e^t), with e^t overflowing to inf."""
+
+    def g(t: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return f(np.exp(np.asarray(t, dtype=np.float64)))
+
+    return g
 
 
 def log_image(w: WeightFunction) -> GridFn:
     """The log substitution t -> eval(e^{t_1}, ..., e^{t_n}); it is convex
     when w is convex and nondecreasing on [0, inf)^n."""
 
-    def at(t: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return w.eval(np.exp(np.asarray(t, dtype=np.float64)))
-
     def on_axes(axes: Sequence[np.ndarray]) -> np.ndarray:
         with np.errstate(over="ignore"):
             return w.eval_on_axes([np.exp(np.asarray(a)) for a in axes])
 
-    profiles = None
-    if w.is_separable:
-        prof = w.axis_profile()
-
-        def log_prof(t: np.ndarray) -> np.ndarray:
-            with np.errstate(over="ignore"):
-                return prof(np.exp(np.asarray(t, dtype=np.float64)))
-
-        profiles = tuple([log_prof] * w.n)
-    return GridFn(n=w.n, at=at, on_axes=on_axes, axis_profiles=profiles,
-                  key=_weight_key("log", w), convex=w.convex_by_construction)
+    return _weight_image(w, "log", _of_exp(w.eval), on_axes, _of_exp)
 
 
 def scale_fn(fn: GridFn, c: float) -> GridFn:
@@ -648,11 +639,10 @@ def numeric_dual_weight(w: WeightFunction, cfg: NumericsConfig = DEFAULT) -> Wei
         n=w.n,
         eval=nd.eval,
         label=w.label + "*",
-        terms=None,
         grid_eval=nd.eval_on_axes,
         # the conjugate of a sum of per-axis profiles is the per-axis conjugate sum
         separable_profile=nd.profile if w.is_separable else None,
-        is_conjugate=True,
+        convex=True,
     )
 
 

@@ -50,8 +50,6 @@ def make_sublevel_spec(h: GridFn, y, p: float,
 class VolumeEstimate:
     value: float
     half_width: float
-    method: str
-    samples: int
 
     def __post_init__(self):
         if self.value < 0 or self.half_width < 0:
@@ -193,9 +191,10 @@ def _separable_cells(spec: SublevelSpec,
     v = prof[1] + tilt_terms[1]
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(v))):
         return None
-    # the grid path's gap float rounds at most m times: 2 * terms sums of the
-    # power terms of both axes (`weights._terms_on_axes`), one product per
-    # scaling, then h*(y) and the two tilts; each vector here rounds fewer
+    # the grid path's gap float rounds at most m times: 2 * terms sums of
+    # the power terms of both axes (`weights.PowerTerm.add_on_grid`), one
+    # product per scaling, then h*(y) and the two tilts; each vector here
+    # rounds fewer
     terms, scalings = key_terms(h.key)
     m = 2 * terms + scalings + 3
     u = np.finfo(np.float64).eps / 2
@@ -211,16 +210,18 @@ def _separable_cells(spec: SublevelSpec,
     return _threshold_cells(c, v)
 
 
-def sublevel_volume(spec: SublevelSpec, method: str = "grid",
-                    resolution: Optional[int] = None,
+def sublevel_volume(spec: SublevelSpec, resolution: Optional[int] = None,
                     cfg: NumericsConfig = DEFAULT, seed: int = 0) -> VolumeEstimate:
-    """Volume of D_y(p) by cell counting or seeded Monte-Carlo.
+    """Volume of D_y(p): cell counting for n <= 3, seeded Monte-Carlo beyond.
 
-    The grid method counts cells whose centers satisfy the membership
-    predicate; its half_width is the total volume of surface cells (cells
-    adjacent to a membership flip). Monte-Carlo reports a 99% Wilson
-    interval scaled by the bounding-box volume. Computed once per process
-    for each keyed ``spec.h`` and each set of remaining inputs.
+    The grid has ``resolution`` (--volume-cells) or `VOLUME_CELLS` cells per
+    axis and counts those whose centers satisfy the membership predicate;
+    its half_width is the total volume of surface cells (cells adjacent to
+    a membership flip). A count of 0 bounds nothing (the set lies between
+    the centres, so no cell is on its surface either): it raises a
+    ValueError. Monte-Carlo always draws `MC_SAMPLES` points and reports a
+    99% Wilson interval scaled by the bounding-box volume. Computed once
+    per process for each keyed ``spec.h`` and each set of remaining inputs.
 
     When ``spec.h`` is convex by construction (`GridFn.convex`), the grid
     method evaluates the predicate only on a window of cells: a coarse pass
@@ -256,59 +257,49 @@ def sublevel_volume(spec: SublevelSpec, method: str = "grid",
     if resolution is not None and resolution < 1:
         raise ValueError(f"volume resolution must be at least 1, got {resolution}")
     inputs = ("volume", value_bytes(spec.y), spec.p, spec.hstar_y,
-              value_bytes(spec.argmax), method, resolution, cfg, seed)
-    return memoized(spec.h.key, inputs,
-                    lambda: _sublevel_volume(spec, method, resolution, seed))
+              value_bytes(spec.argmax), resolution, cfg, seed)
+    est = memoized(spec.h.key, inputs, lambda: _sublevel_volume(spec, resolution, seed))
+    if est.value == 0:
+        raise ValueError("the sublevel set holds no cell centre of the volume grid (no sample "
+                         "at n > 3), so its volume cannot be bounded; raise --volume-cells")
+    return est
 
 
-def _sublevel_volume(spec: SublevelSpec, method: str, resolution: Optional[int],
-                     seed: int) -> VolumeEstimate:
+def _sublevel_volume(spec: SublevelSpec, resolution: Optional[int], seed: int) -> VolumeEstimate:
     n = spec.h.n
     lo, hi = _bounding_box(spec)
+    if n > 3:
+        return _monte_carlo_volume(spec, lo, hi, MC_SAMPLES, seed)
+    cells = resolution if resolution is not None else by_dim(VOLUME_CELLS, n)
+    if cells**n > 5e7:
+        raise ValueError(f"volume grid too large ({cells}**{n} cells); lower --volume-cells")
+    axes = [lo[j] + (hi[j] - lo[j]) / cells * (np.arange(cells) + 0.5) for j in range(n)]
+    counts = None
+    if n == 2 and spec.h.key is not None and spec.h.axis_profiles is not None:
+        counts = _separable_cells(spec, axes)
+    if counts is None:
+        window = _volume_window(spec, axes) if spec.h.convex else None
+        if window is not None:
+            axes = [a[w] for a, w in zip(axes, window)]
+        counts = _cells(_membership(spec, axes))
+    count, surface = counts
+    cell_vol = float(np.prod(hi - lo)) / cells**n
+    return VolumeEstimate(value=count * cell_vol, half_width=float(surface) * cell_vol)
+
+
+def _monte_carlo_volume(spec: SublevelSpec, lo: np.ndarray, hi: np.ndarray,
+                        samples: int, seed: int) -> VolumeEstimate:
+    """Volume of D_y(p) from seeded uniform samples of the box [lo, hi]."""
     box_vol = float(np.prod(hi - lo))
-    if method == "grid":
-        cells = resolution if resolution is not None else by_dim(VOLUME_CELLS, n)
-        if cells**n > 5e7:
-            raise ValueError(
-                "volume grid too large; use method='monte-carlo' for this dimension"
-            )
-        axes = []
-        for j in range(n):
-            step = (hi[j] - lo[j]) / cells
-            axes.append(lo[j] + step * (np.arange(cells) + 0.5))
-        counts = None
-        if n == 2 and spec.h.key is not None and spec.h.axis_profiles is not None:
-            counts = _separable_cells(spec, axes)
-        if counts is None:
-            window = _volume_window(spec, axes) if spec.h.convex else None
-            if window is not None:
-                axes = [a[w] for a, w in zip(axes, window)]
-            counts = _cells(_membership(spec, axes))
-        count, surface = counts
-        cell_vol = box_vol / cells**n
-        return VolumeEstimate(
-            value=count * cell_vol,
-            half_width=float(surface) * cell_vol,
-            method="grid",
-            samples=cells**n,
-        )
-    if method == "monte-carlo":
-        samples = resolution if resolution is not None else MC_SAMPLES
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        pts = rng.uniform(size=(samples, n)) * (hi - lo) + lo
-        gap = spec.h.at(pts) + spec.hstar_y - pts @ spec.y
-        hits = int(np.count_nonzero(gap <= spec.p))
-        p_hat = hits / samples
-        z = 2.5758293035489004  # 99% two-sided normal quantile
-        denom = 1.0 + z**2 / samples
-        half = z * math.sqrt(p_hat * (1 - p_hat) / samples + z**2 / (4 * samples**2)) / denom
-        return VolumeEstimate(
-            value=p_hat * box_vol,
-            half_width=half * box_vol,
-            method="monte-carlo",
-            samples=samples,
-        )
-    raise ValueError(f"unknown volume method {method!r}")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    pts = rng.uniform(size=(samples, spec.h.n)) * (hi - lo) + lo
+    gap = spec.h.at(pts) + spec.hstar_y - pts @ spec.y
+    hits = int(np.count_nonzero(gap <= spec.p))
+    p_hat = hits / samples
+    z = 2.5758293035489004  # 99% two-sided normal quantile
+    denom = 1.0 + z**2 / samples
+    half = z * math.sqrt(p_hat * (1 - p_hat) / samples + z**2 / (4 * samples**2)) / denom
+    return VolumeEstimate(value=p_hat * box_vol, half_width=half * box_vol)
 
 
 @dataclass(frozen=True)
@@ -436,25 +427,17 @@ class SandwichReport:
     combined_rel_error: float
 
 
-def default_volume_method(n: int) -> str:
-    """Grid counting up to n = 3, Monte-Carlo beyond."""
-    return "grid" if n <= 3 else "monte-carlo"
-
-
 def sandwich_check(h: GridFn, y, cfg: NumericsConfig = DEFAULT,
-                   method: Optional[str] = None, resolution: Optional[int] = None,
-                   seed: int = 0) -> SandwichReport:
+                   resolution: Optional[int] = None, seed: int = 0) -> SandwichReport:
     """Verdict on e^{-1} <= integral / (V e^{h*(y)}) <= 1 + n! at slack p = 1."""
-    if method is None:
-        method = default_volume_method(h.n)
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     sup = truncated_sup(h, y, cfg)
     spec = SublevelSpec(h=h, y=y, p=1.0, hstar_y=sup.value, argmax=sup.argmax)
-    volume = sublevel_volume(spec, method=method, resolution=resolution, cfg=cfg, seed=seed)
+    volume = sublevel_volume(spec, resolution=resolution, cfg=cfg, seed=seed)
     integral = laplace_integral(h, y, cfg, sup=sup)
     ln_ratio = integral.ln_value - math.log(volume.value) - sup.value
     ratio = math.exp(ln_ratio)
-    rel = integral.rel_error + (volume.half_width / volume.value if volume.value > 0 else math.inf)
+    rel = integral.rel_error + volume.half_width / volume.value
     slack = ratio * rel
     lo_bound = math.exp(-1.0)
     hi_bound = 1.0 + math.factorial(h.n)

@@ -23,12 +23,7 @@ import numpy as np
 
 from .config import DEFAULT, NumericsConfig
 from .fenchel import log_image, scale_fn, truncated_sup
-from .laplace import (
-    default_volume_method,
-    laplace_integral,
-    make_sublevel_spec,
-    sublevel_volume,
-)
+from .laplace import laplace_integral, make_sublevel_spec, sublevel_volume
 from .weights import WeightFunction
 
 LN_2PI = math.log(2.0 * math.pi)
@@ -272,7 +267,7 @@ def lemma4_check(phi: WeightFunction, alpha: MultiIndex,
         entry = moment(phi, alpha, cfg)
     shifted = np.asarray(alpha.shifted(), dtype=np.float64)
     spec = make_sublevel_spec(log_image(phi), shifted, 0.5, cfg)
-    vol = sublevel_volume(spec, method=default_volume_method(phi.n), cfg=cfg)
+    vol = sublevel_volume(spec, cfg=cfg)
     base = phi.n * LN_2PI + math.log(vol.value) + 2.0 * spec.hstar_y
     lo_ln = base - 1.0
     hi_ln = base + math.log(1.0 + math.factorial(phi.n))

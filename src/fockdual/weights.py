@@ -23,9 +23,21 @@ class WeightSpecError(ValueError):
     """Malformed weight description (bad JSON, bad preset, bad parameters)."""
 
 
+def add_on_axes(tensor: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Add ``vectors[j]`` along axis j of a product-grid tensor, for every
+    axis j in order, in place, and return the tensor."""
+    n = len(vectors)
+    for j, v in enumerate(vectors):
+        sl = [None] * n
+        sl[j] = slice(None)
+        tensor += np.asarray(v)[tuple(sl)]
+    return tensor
+
+
 @dataclass(frozen=True)
 class PowerTerm:
-    """One additive term: coef * sum_j x_j**p / p or coef * ||x||**p / p."""
+    """One additive term: coef * sum_j x_j**p / p ("power") or
+    coef * ||x||**p / p ("radial_power"), on moduli x >= 0."""
 
     kind: str  # "power" | "radial_power"
     p: float
@@ -39,54 +51,39 @@ class PowerTerm:
         if not self.coef > 0.0:
             raise WeightSpecError("term coefficient must be positive")
 
+    @property
+    def separable(self) -> bool:
+        """True when the term is the sum over the axes of `axis_value`."""
+        return self.kind == "power"
+
     def axis_value(self, r: np.ndarray) -> np.ndarray:
-        """1-D profile coef * r**p / p at moduli r >= 0 (valid per axis for
-        'power' terms)."""
+        """1-D profile coef * r**p / p at moduli r >= 0: the term itself at
+        n = 1, and its share of each axis when it is separable."""
         return self.coef * r ** self.p / self.p
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        """The term at moduli ``x`` with a trailing coordinate axis."""
+        if self.separable:
+            return self.axis_value(x).sum(axis=-1)
+        return self.coef * (x**2).sum(axis=-1) ** (self.p / 2.0) / self.p
+
+    def add_on_grid(self, tensor: np.ndarray, axes: Sequence[np.ndarray]) -> np.ndarray:
+        """Add the term on the product grid of the moduli ``axes`` to
+        ``tensor``, in place, and return the tensor."""
+        if self.separable:
+            return add_on_axes(tensor, [self.axis_value(a) for a in axes])
+        r2 = add_on_axes(np.zeros(tensor.shape), [np.asarray(a) ** 2 for a in axes])
+        tensor += self.coef * r2 ** (self.p / 2.0) / self.p
+        return tensor
 
     def dual(self) -> "PowerTerm":
         # sup_x (x*y - c*x^p/p) = c^(1-q) * y^q / q with 1/p + 1/q = 1;
         # the same rule holds radially for nondecreasing profiles.
         q = self.p / (self.p - 1.0)
-        return PowerTerm(self.kind, q, self.coef ** (1.0 - q))
-
-
-def add_on_axes(tensor: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Add ``vectors[j]`` along axis j of a product-grid tensor, for every
-    axis j in order, in place, and return the tensor."""
-    n = len(vectors)
-    for j, v in enumerate(vectors):
-        sl = [None] * n
-        sl[j] = slice(None)
-        tensor += np.asarray(v)[tuple(sl)]
-    return tensor
-
-
-def _terms_on_axes(terms: Sequence[PowerTerm], axes: Sequence[np.ndarray]) -> np.ndarray:
-    shape = tuple(len(a) for a in axes)
-    total = np.zeros(shape)
-    for term in terms:
-        if term.kind == "power":
-            add_on_axes(total, [term.axis_value(a) for a in axes])
-        else:
-            r2 = add_on_axes(np.zeros(shape), [np.asarray(a) ** 2 for a in axes])
-            total += term.coef * r2 ** (term.p / 2.0) / term.p
-    return total
-
-
-def _terms_eval(terms: Sequence[PowerTerm]) -> Callable[[np.ndarray], np.ndarray]:
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        x = np.abs(np.asarray(x, dtype=np.float64))
-        total = np.zeros(x.shape[:-1])
-        for term in terms:
-            if term.kind == "power":
-                total += term.axis_value(x).sum(axis=-1)
-            else:
-                r2 = (x**2).sum(axis=-1)
-                total += term.coef * r2 ** (term.p / 2.0) / term.p
-        return total
-
-    return evaluate
+        try:
+            return PowerTerm(self.kind, q, self.coef ** (1.0 - q))
+        except OverflowError as exc:
+            raise WeightSpecError(f"the dual of coefficient {self.coef!r} overflows") from exc
 
 
 @dataclass(frozen=True)
@@ -94,12 +91,12 @@ class WeightFunction:
     """A weight (or candidate): finite evaluator on [0, inf)^n.
 
     ``eval`` is vectorized over a trailing coordinate axis of length ``n``.
-    ``terms`` is set for catalog/JSON weights and drives separability
-    detection and the closed-form conjugate (`dual`); custom test doubles
-    leave it None.
-    ``grid_eval`` and ``separable_profile`` let numerically-defined weights
-    (discrete conjugates) plug into the product-grid fast paths.
-    ``is_conjugate`` marks a weight built as the conjugate of another one.
+    ``terms`` (catalog/JSON weights) gives the closed-form conjugate (`dual`).
+    The constructors, `_from_terms` and `fenchel.numeric_dual_weight`, set
+    ``grid_eval`` (product grids), ``separable_profile`` (the shared per-axis
+    profile, if any) and ``convex``: a positive sum of power terms and a
+    conjugate (a sup of affine functions, and even) are convex and monotone
+    on [0, inf)^n. A weight given only by an evaluator is never assumed so.
     """
 
     n: int
@@ -108,15 +105,7 @@ class WeightFunction:
     terms: Optional[tuple[PowerTerm, ...]] = None
     grid_eval: Optional[Callable[[Sequence[np.ndarray]], np.ndarray]] = None
     separable_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    is_conjugate: bool = False
-
-    @property
-    def convex_by_construction(self) -> bool:
-        """True when convexity (and monotonicity on [0, inf)^n) follows from
-        how the weight was built: a positive sum of power terms, or a
-        conjugate, which is a sup of affine functions and even. Weights
-        given only by an evaluator are never assumed convex."""
-        return self.terms is not None or self.is_conjugate
+    convex: bool = False
 
     def symmetrized(self, x: np.ndarray) -> np.ndarray:
         """g(x) = eval(|x_1|, ..., |x_n|), even in each coordinate exactly."""
@@ -124,30 +113,15 @@ class WeightFunction:
 
     @property
     def is_separable(self) -> bool:
-        if self.separable_profile is not None or self.n == 1:
-            return True
-        if self.terms is None:
-            return False
-        return all(t.kind == "power" for t in self.terms)
+        return self.separable_profile is not None or self.n == 1
 
     def axis_profile(self) -> Callable[[np.ndarray], np.ndarray]:
         """Shared per-axis profile f with eval(x) = sum_j f(x_j); separable only."""
         if self.separable_profile is not None:
             return self.separable_profile
-        if self.terms is None and self.n == 1:
+        if self.n == 1:
             return lambda r: self.eval(np.abs(np.asarray(r, dtype=np.float64))[..., None])
-        if not self.is_separable:
-            raise ValueError(f"{self.label} is not separable")
-        terms = self.terms
-
-        def profile(r: np.ndarray) -> np.ndarray:
-            r = np.abs(np.asarray(r, dtype=np.float64))
-            out = np.zeros(r.shape)
-            for t in terms:
-                out += t.axis_value(r)
-            return out
-
-        return profile
+        raise ValueError(f"{self.label} is not separable")
 
     def eval_on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Evaluate on the product grid of per-axis node arrays."""
@@ -156,8 +130,6 @@ class WeightFunction:
         axes = [np.abs(np.asarray(a, dtype=np.float64)) for a in axes]
         if self.grid_eval is not None:
             return self.grid_eval(axes)
-        if self.terms is not None:
-            return _terms_on_axes(self.terms, axes)
         mesh = np.meshgrid(*axes, indexing="ij")
         return self.eval(np.stack(mesh, axis=-1))
 
@@ -165,35 +137,58 @@ class WeightFunction:
         """The conjugate weight in closed form (one power term), else None."""
         if self.terms is None or len(self.terms) != 1:
             return None
-        dual_term = self.terms[0].dual()
-        return WeightFunction(
-            n=self.n,
-            eval=_terms_eval([dual_term]),
-            label=self.label + "*",
-            terms=(dual_term,),
-        )
+        return _from_terms(self.n, [self.terms[0].dual()], self.label + "*")
 
 
 def _from_terms(n: int, terms: Sequence[PowerTerm], label: str) -> WeightFunction:
-    """The weight sum(terms) on n coordinates; with one term, its conjugate
-    has a closed form, the dual term (`WeightFunction.dual`)."""
+    """The weight sum(terms) on n coordinates with its evaluators; it has a
+    per-axis profile when every term is separable or n = 1."""
+    terms = tuple(terms)
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        x = np.abs(np.asarray(x, dtype=np.float64))
+        total = np.zeros(x.shape[:-1])
+        for term in terms:
+            total += term.value(x)
+        return total
+
+    def grid_eval(axes: Sequence[np.ndarray]) -> np.ndarray:
+        total = np.zeros(tuple(len(a) for a in axes))
+        for term in terms:
+            term.add_on_grid(total, axes)
+        return total
+
+    def profile(r: np.ndarray) -> np.ndarray:
+        r = np.abs(np.asarray(r, dtype=np.float64))
+        out = np.zeros(r.shape)
+        for term in terms:
+            out += term.axis_value(r)
+        return out
+
+    separable = n == 1 or all(t.separable for t in terms)
+    return WeightFunction(n=n, eval=evaluate, label=label, terms=terms, grid_eval=grid_eval,
+                          separable_profile=profile if separable else None, convex=True)
+
+
+def _checked(n: int, terms: Sequence[PowerTerm], label: str) -> WeightFunction:
+    """`_from_terms` for user input: a valid dimension, and with one term a
+    valid dual term (the conjugate, `WeightFunction.dual`)."""
     # bool is an int subclass: reject True as a dimension
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise WeightSpecError(f"invalid dimension {n!r}")
-    terms = tuple(terms)
     if len(terms) == 1:
-        terms[0].dual()  # the dual term must be a valid term too: reject at load
-    return WeightFunction(n=n, eval=_terms_eval(terms), label=label, terms=terms)
+        terms[0].dual()
+    return _from_terms(n, terms, label)
 
 
 def make_fock(n: int) -> WeightFunction:
     """Quadratic weight ||x||^2 / 2; self-conjugate."""
-    return _from_terms(n, [PowerTerm("power", 2.0, 1.0)], f"fock:{n}")
+    return _checked(n, [PowerTerm("power", 2.0, 1.0)], f"fock:{n}")
 
 
 def make_separable_power(n: int, p: float) -> WeightFunction:
     """Separable weight sum_j x_j**p / p with conjugate sum_j y_j**q / q."""
-    return _from_terms(n, [PowerTerm("power", float(p), 1.0)], f"power:{p:g}:{n}")
+    return _checked(n, [PowerTerm("power", float(p), 1.0)], f"power:{p:g}:{n}")
 
 
 def weight_from_json(source) -> WeightFunction:
@@ -233,7 +228,7 @@ def weight_from_json(source) -> WeightFunction:
                 raise WeightSpecError(f"term {name!r} must be a finite number, got {v!r}")
         terms.append(PowerTerm(kind, float(p), float(coef)))
     label = "json:" + ",".join(f"{t.kind[0]}{t.p:g}x{t.coef:g}" for t in terms)
-    return _from_terms(n, terms, label)
+    return _checked(n, terms, label)
 
 
 def parse_preset(name: str) -> WeightFunction:

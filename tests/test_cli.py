@@ -51,6 +51,8 @@ def test_malformed_weight_exits_2(tmp_path):
     {"n": 1, "terms": [{"type": "power", "p": "x", "coef": 1}]},
     {"n": 1, "terms": [{"type": "power", "p": None, "coef": 1}]},
     {"n": True, "terms": [{"type": "power", "p": 2, "coef": 1}]},
+    # the dual coefficient 1e-300 ** -2 overflows
+    {"n": 1, "terms": [{"type": "power", "p": 1.5, "coef": 1e-300}]},
 ])
 def test_bad_term_or_dimension_exits_2(tmp_path, capsys, spec):
     path = tmp_path / "bad.json"
@@ -104,6 +106,14 @@ def test_numeric_failure_exits_3(tmp_path, capsys):
     assert run_cli(["identities", "--weight", str(mixed2),
                     "--out", str(tmp_path / "out")]) == 3
     assert "objective does not decay" in capsys.readouterr().err
+
+
+def test_volume_grid_without_members_exits_3(tmp_path, capsys):
+    # two cells per axis: the fock:3 sublevel set lies between the cell centres
+    assert run_cli(["sandwich", "--weight-preset", "fock:3", "--volume-cells", "2",
+                    "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "holds no cell centre of the volume grid" in err and "--volume-cells" in err
 
 
 _CELLS = "--volume-cells must be a positive cell count"

@@ -11,7 +11,7 @@ import fockdual as fd
 from fockdual import laplace
 from fockdual.config import DECAY_BUDGET
 from fockdual.fenchel import log_image, symmetrized_fn
-from fockdual.laplace import _sublevel_volume
+from fockdual.laplace import _monte_carlo_volume
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,7 +40,6 @@ def test_volume_disk(h2):
     spec = fd.make_sublevel_spec(h2, [0.0, 0.0], 1.0)
     v = fd.sublevel_volume(spec)
     assert v.value == pytest.approx(2 * math.pi, abs=v.half_width + 1e-2)
-    assert v.method == "grid"
 
 
 def test_volume_monotone_in_slack(h1):
@@ -53,15 +52,22 @@ def test_volume_monotone_in_slack(h1):
 
 def test_volume_monte_carlo_agrees_with_grid(h2):
     spec = fd.make_sublevel_spec(h2, [0.5, -0.5], 1.0)
-    vg = fd.sublevel_volume(spec, method="grid")
-    vm = fd.sublevel_volume(spec, method="monte-carlo", resolution=200_000, seed=7)
-    assert vm.method == "monte-carlo"
+    vg = fd.sublevel_volume(spec)
+    lo, hi = laplace._bounding_box(spec)
+    vm = _monte_carlo_volume(spec, lo, hi, 200_000, 7)
     assert abs(vg.value - vm.value) <= vg.half_width + vm.half_width
-    # seeded generator: identical reruns, from the memo and computed afresh
-    vm2 = fd.sublevel_volume(spec, method="monte-carlo", resolution=200_000, seed=7)
-    assert vm2.value == vm.value
-    fresh = _sublevel_volume(spec, "monte-carlo", 200_000, 7)
+    # seeded generator: identical reruns
+    fresh = _monte_carlo_volume(spec, lo, hi, 200_000, 7)
     assert fresh.value == vm.value
+
+
+def test_monte_carlo_volume_ignores_the_grid_resolution():
+    # at n = 4 the volume is Monte-Carlo, which always draws MC_SAMPLES points
+    spec = fd.make_sublevel_spec(symmetrized_fn(fd.make_fock(4)), [0.5, -0.5, 0.0, 1.0], 1.0)
+    got = fd.sublevel_volume(spec, resolution=10)
+    want = fd.sublevel_volume(spec)
+    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+    assert np.float64(got.half_width).tobytes() == np.float64(want.half_width).tobytes()
 
 
 def test_volume_unbounded_rejected():

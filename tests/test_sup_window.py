@@ -191,11 +191,11 @@ def test_convexity_follows_the_construction(nonsmooth_convex):
     convex = [sep1, fd.dual_weight(fd.make_fock(2)), fd.numeric_dual_weight(sep1),
               fd.dual_weight(custom)]
     for w in convex:
-        assert w.convex_by_construction
+        assert w.convex
         assert symmetrized_fn(w).convex and log_image(w).convex
     # an evaluator alone proves nothing, convex or not
     for w in (custom, nonsmooth_convex):
-        assert not w.convex_by_construction
+        assert not w.convex
         assert not symmetrized_fn(w).convex and not log_image(w).convex
     fn = log_image(sep1)
     assert scale_fn(fn, 2.0).convex

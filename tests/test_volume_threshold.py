@@ -62,8 +62,7 @@ def _spec(h: GridFn, y, p: float) -> SublevelSpec:
 
 
 def _fields(est) -> tuple:
-    return (np.float64(est.value).tobytes(), np.float64(est.half_width).tobytes(),
-            est.method, est.samples)
+    return np.float64(est.value).tobytes(), np.float64(est.half_width).tobytes()
 
 
 def _sep1_at_n2():
@@ -96,8 +95,8 @@ def test_separable_volume_equals_whole_grid_bitwise(w, form):
                 sizes, profile_sizes = [], []
                 got = _sublevel_volume(
                     dataclasses.replace(spec, h=_counting(h, sizes, profile_sizes)),
-                    "grid", resolution, 0)
-                want = _sublevel_volume(_whole(spec), "grid", resolution, 0)
+                    resolution, 0)
+                want = _sublevel_volume(_whole(spec), resolution, 0)
                 assert _fields(got) == _fields(want), (y, p, resolution)
                 # the bounding-box probes only, then one vector per axis
                 assert set(sizes) <= {PROBE}, (y, p, resolution)
@@ -109,12 +108,11 @@ def test_lemma4_volume_evaluates_two_axis_vectors():
     spec = _spec(log_image(fd.make_fock(2)), [4.0, 5.0], 0.5)
     sizes, profile_sizes = [], []
     got = _sublevel_volume(dataclasses.replace(spec, h=_counting(spec.h, sizes, profile_sizes)),
-                           "grid", None, 0)
+                           None, 0)
     cells = by_dim(VOLUME_CELLS, 2)
     assert sizes and set(sizes) == {PROBE}
     assert profile_sizes == [cells, cells]
-    assert got.samples == cells**2
-    assert _fields(got) == _fields(_sublevel_volume(_whole(spec), "grid", None, 0))
+    assert _fields(got) == _fields(_sublevel_volume(_whole(spec), None, 0))
 
 
 @pytest.mark.parametrize("h", [
@@ -129,7 +127,7 @@ def test_other_functions_keep_the_membership_grid(h, monkeypatch):
 
     monkeypatch.setattr(laplace, "_separable_cells", refuse)
     spec = _spec(h, np.full(h.n, 0.5), 1.0)
-    assert _sublevel_volume(spec, "grid", 8, 0).value > 0
+    assert _sublevel_volume(spec, 8, 0).value > 0
 
 
 @given(c=st.lists(st.integers(-4, 4), min_size=1, max_size=12),
@@ -155,8 +153,8 @@ def test_cell_on_the_boundary_falls_back_to_the_whole_grid(monkeypatch):
     spec = SublevelSpec(h=h, y=np.zeros(2), p=p, hstar_y=0.0, argmax=np.zeros(2))
     sizes, profile_sizes = [], []
     got = _sublevel_volume(dataclasses.replace(spec, h=_counting(h, sizes, profile_sizes)),
-                           "grid", 64, 0)
+                           64, 0)
     assert profile_sizes == [64, 64]
     # the fallback evaluates the membership grid (here through its window)
     assert sizes and max(sizes) > 64
-    assert _fields(got) == _fields(_sublevel_volume(_whole(spec), "grid", 64, 0))
+    assert _fields(got) == _fields(_sublevel_volume(_whole(spec), 64, 0))

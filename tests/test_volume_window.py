@@ -49,8 +49,7 @@ def _spec(h: GridFn, y, p: float) -> SublevelSpec:
 
 
 def _fields(est) -> tuple:
-    return (np.float64(est.value).tobytes(), np.float64(est.half_width).tobytes(),
-            est.method, est.samples)
+    return np.float64(est.value).tobytes(), np.float64(est.half_width).tobytes()
 
 
 # log images need y > 0 (their sup is approached as t -> -inf otherwise)
@@ -82,10 +81,9 @@ def test_window_equals_whole_grid_bitwise(w, kind):
                 cells = resolution if resolution is not None else by_dim(VOLUME_CELLS, w.n)
                 sizes = []
                 got = _sublevel_volume(dataclasses.replace(spec, h=_counting(h, sizes)),
-                                       "grid", resolution, 0)
-                want = _sublevel_volume(_whole(spec), "grid", resolution, 0)
+                                       resolution, 0)
+                want = _sublevel_volume(_whole(spec), resolution, 0)
                 assert _fields(got) == _fields(want), (y, p, resolution)
-                assert got.samples == cells**w.n
                 windowed += cells**w.n not in sizes
     # at the default resolution the window is taken (in 3-D not always), so
     # the comparison is not whole grid against whole grid
@@ -97,12 +95,11 @@ def test_lemma4_volume_evaluates_a_fifth_of_the_grid():
     spec = _spec(log_image(fd.make_fock(2)), [4.0, 5.0], 0.5)
     sizes = []
     got = _sublevel_volume(dataclasses.replace(spec, h=_counting(spec.h, sizes)),
-                           "grid", None, 0)
+                           None, 0)
     cells = by_dim(VOLUME_CELLS, 2)
     # box probes included
     assert sum(sizes) <= 0.2 * cells**2
-    assert got.samples == cells**2
-    assert _fields(got) == _fields(_sublevel_volume(_whole(spec), "grid", None, 0))
+    assert _fields(got) == _fields(_sublevel_volume(_whole(spec), None, 0))
 
 
 def test_nonconvex_weight_keeps_the_whole_grid(nonconvex_double):
@@ -110,7 +107,7 @@ def test_nonconvex_weight_keeps_the_whole_grid(nonconvex_double):
     assert not h.convex
     spec = _spec(h, [1.0], 1.0)
     sizes = []
-    _sublevel_volume(dataclasses.replace(spec, h=_counting(h, sizes)), "grid", None, 0)
+    _sublevel_volume(dataclasses.replace(spec, h=_counting(h, sizes)), None, 0)
     assert by_dim(VOLUME_CELLS, 1) in sizes
 
 
@@ -121,9 +118,9 @@ def test_empty_coarse_pass_keeps_the_whole_grid():
     spec = _spec(h, [0.5, -0.5], 1.0)
     # 4 cells per axis: every 8th cell centre, from the 5th on, is no cell at all
     sizes = []
-    got = _sublevel_volume(dataclasses.replace(spec, h=_counting(h, sizes)), "grid", 4, 0)
+    got = _sublevel_volume(dataclasses.replace(spec, h=_counting(h, sizes)), 4, 0)
     assert 4**2 in sizes
-    assert _fields(got) == _fields(_sublevel_volume(_whole(spec), "grid", 4, 0))
+    assert _fields(got) == _fields(_sublevel_volume(_whole(spec), 4, 0))
 
 
 def _fixed_box(monkeypatch, n: int) -> np.ndarray:
@@ -150,9 +147,9 @@ def test_member_on_a_cut_face_falls_back_to_the_whole_grid(monkeypatch):
     spec = SublevelSpec(h=h, y=np.zeros(1), p=1.0, hstar_y=0.0, argmax=np.zeros(1))
     sizes = []
     got = _sublevel_volume(dataclasses.replace(spec, h=_counting(spec.h, sizes)),
-                           "grid", 64, 0)
+                           64, 0)
     assert 64 in sizes
-    want = _sublevel_volume(_whole(spec), "grid", 64, 0)
+    want = _sublevel_volume(_whole(spec), 64, 0)
     assert _fields(got) == _fields(want)
     assert got.value == (16 + 3) / 8
 
@@ -178,8 +175,8 @@ def test_thin_convex_set_is_counted_whole(monkeypatch):
     h = GridFn(n=2, at=lambda x: fn(x[..., 0], x[..., 1]),
                on_axes=lambda axes: fn(axes[0][:, None], axes[1][None, :]), convex=True)
     spec = SublevelSpec(h=h, y=np.zeros(2), p=1.0, hstar_y=0.0, argmax=c)
-    got = _sublevel_volume(spec, "grid", 64, 0)
-    want = _sublevel_volume(_whole(spec), "grid", 64, 0)
+    got = _sublevel_volume(spec, 64, 0)
+    want = _sublevel_volume(_whole(spec), 64, 0)
     assert _fields(got) == _fields(want)
     assert got.value == 13 / 64
 

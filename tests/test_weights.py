@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fockdual as fd
+from fockdual.weights import add_on_axes
 
 
 def test_fock_values(fock1, fock2):
@@ -126,6 +127,7 @@ def test_json_weight_roundtrip(tmp_path):
     # valid terms whose closed-form dual terms are not
     json.dumps({"n": 1, "terms": [{"type": "power", "p": 1e17, "coef": 1}]}),
     json.dumps({"n": 1, "terms": [{"type": "power", "p": 1.001, "coef": 1e300}]}),
+    json.dumps({"n": 1, "terms": [{"type": "power", "p": 1.5, "coef": 1e-300}]}),
 ])
 def test_json_weight_rejects_malformed(tmp_path, payload):
     path = tmp_path / "bad.json"
@@ -150,3 +152,55 @@ def test_structural_dual_is_involutive(power4):
     back = dual.dual()
     x = np.linspace(0, 3, 50)[:, None]
     assert np.allclose(back.eval(x), power4.eval(x), atol=1e-12)
+
+
+_TERMS = st.lists(st.tuples(st.sampled_from(["power", "radial_power"]),
+                            st.floats(1.1, 6.0), st.floats(0.1, 10.0)),
+                  min_size=1, max_size=3)
+_AXES = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@given(n=st.integers(1, 3), terms=_TERMS, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_term_evaluators_agree(n, terms, data):
+    w = fd.weight_from_json({"n": n, "terms": [
+        {"type": kind, "p": p, "coef": coef} for kind, p, coef in terms]})
+    axes = [np.array(data.draw(_AXES)) for _ in range(n)]
+    pointwise = w.eval(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+    # the evaluators sum the same term values in another order, except with
+    # one term or one axis
+    on_axes = w.eval_on_axes(axes)
+    if n == 1 or len(terms) == 1:
+        assert _bits(on_axes) == _bits(pointwise)
+    else:
+        np.testing.assert_allclose(on_axes, pointwise, rtol=1e-14, atol=0)
+    assert w.is_separable == (n == 1 or all(kind == "power" for kind, _, _ in terms))
+    if w.is_separable:
+        prof = w.axis_profile()
+        by_axis = add_on_axes(np.zeros(pointwise.shape), [prof(a) for a in axes])
+        if all(kind == "power" for kind, _, _ in terms) and (n == 1 or len(terms) == 1):
+            assert _bits(by_axis) == _bits(pointwise)
+        else:
+            # a radial term's profile is c r^p / p, its value c (r^2)^(p/2) / p,
+            # which is 0 where r^2 underflows (r < 1.5e-154)
+            np.testing.assert_allclose(by_axis, pointwise, rtol=1e-14, atol=1e-150)
+
+
+@pytest.mark.parametrize("kind", ["power", "radial_power"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p, coef", [(1.5, 2.0), (3.0, 0.5)])
+def test_one_term_dual_matches_bruteforce(conjugate_bruteforce, kind, n, p, coef):
+    w = fd.weight_from_json({"n": n, "terms": [{"type": kind, "p": p, "coef": coef}]})
+    count = 1201 if n == 1 else 241
+    primal = tuple(fd.GridAxis(-3.0, 3.0, count) for _ in range(n))
+    nodes = [a.nodes() for a in primal]
+    f = fd.SampledFunction(primal, w.symmetrized(np.stack(np.meshgrid(*nodes, indexing="ij"),
+                                                          axis=-1)))
+    # every maximizer x = grad^-1 (y) lies inside the primal box
+    dual = tuple(fd.GridAxis(-1.5, 1.5, 13) for _ in range(n))
+    mesh = np.stack(np.meshgrid(*[g.nodes() for g in dual], indexing="ij"), axis=-1)
+    np.testing.assert_allclose(conjugate_bruteforce(f, dual), w.dual().eval(mesh), atol=1e-3)
