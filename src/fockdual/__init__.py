@@ -27,7 +27,6 @@ from .fenchel import (
     SampledFunction,
     conjugate_nd,
     divergence_profile,
-    dual_log_conj,
     dual_weight,
     log_conj,
     log_image,

@@ -534,11 +534,7 @@ def main(argv=None) -> int:
     try:
         run = RunConfig(**opts)
         w = load_weight(run)
-    except WeightSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    cfg = NumericsConfig(run.refine)
-    try:
+        cfg = NumericsConfig(run.refine)
         if command == "all":
             results = run_all(w, cfg, run)
         else:

@@ -134,8 +134,6 @@ def _pairwise_desc_sum(values: Iterable[float]) -> float:
     # numpy's reduction is pairwise; feeding it magnitude-sorted terms keeps
     # the accumulation well conditioned for wildly scaled summands
     arr = np.sort(np.asarray(list(values), dtype=np.float64))[::-1]
-    if arr.size == 0:
-        return 0.0
     return float(arr.sum())
 
 
@@ -233,7 +231,7 @@ class KConditionReport:
 
 def _half_slack_volume(w: WeightFunction, y: np.ndarray, cfg: NumericsConfig) -> float:
     spec = make_sublevel_spec(log_image(w), y, 0.5, cfg)
-    return sublevel_volume(spec, cfg=cfg).value
+    return sublevel_volume(spec).value
 
 
 def k_condition_scan(phi: WeightFunction, alphas,

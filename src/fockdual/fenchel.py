@@ -5,7 +5,7 @@ Two conjugation surfaces live here:
 * one grid-to-grid engine, `conjugate_values` (iterated per-axis scans on
   the lower-hull kernel of `_scan`), behind `conjugate_nd` and the numeric
   dual, used for dual tables and biconjugation, per axis for sums of profiles;
-* per-point truncated sups (`truncated_sup`, `log_conj`, `dual_log_conj`)
+* per-point truncated sups (`truncated_sup`, `log_conj`)
   over decay-budget boxes, used by the identity verifier
   (`verify_identities`) and by the Laplace/moment modules.
 
@@ -19,7 +19,7 @@ is smooth in the grid step instead of alignment-quantized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -247,7 +247,7 @@ class SupResult:
     argmax: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    curvature: np.ndarray = field(default_factory=lambda: np.array([]))
+    curvature: np.ndarray
 
     def __post_init__(self):
         for a in (self.argmax, self.lo, self.hi, self.curvature):
@@ -672,15 +672,6 @@ def log_conj(w: WeightFunction, x, cfg: NumericsConfig = DEFAULT) -> float:
     return truncated_sup(log_image(w), x, cfg, floor=T_FLOOR).value
 
 
-def dual_log_conj(w: WeightFunction, x, cfg: NumericsConfig = DEFAULT,
-                  w_dual: Optional[WeightFunction] = None) -> float:
-    """(u^*[e])^*(x), with u^* taken closed-form when available."""
-    x = _check_probe(x, w.n)
-    if w_dual is None:
-        w_dual = dual_weight(w, cfg)
-    return truncated_sup(log_image(w_dual), x, cfg, floor=T_FLOOR).value
-
-
 def entropy_sum(x: np.ndarray) -> float:
     """sum over nonzero coordinates of x_j ln x_j - x_j."""
     x = np.asarray(x, dtype=np.float64)
@@ -714,7 +705,7 @@ def verify_identities(u: WeightFunction, points,
     rhs = []
     for x in points:
         x = _check_probe(x, u.n)
-        left = log_conj(u, x, cfg) + dual_log_conj(u, x, cfg, w_dual=w_dual)
+        left = log_conj(u, x, cfg) + log_conj(w_dual, x, cfg)
         pts.append(tuple(float(v) for v in x))
         lhs.append(left)
         rhs.append(entropy_sum(x))

@@ -85,47 +85,8 @@ def _bounding_box(spec: SublevelSpec, probe_per_axis: int = 17) -> tuple[np.ndar
     )
 
 
-def _gap(spec: SublevelSpec, axes: Sequence[np.ndarray]) -> np.ndarray:
-    return tilt(spec.h.on_axes(list(axes)) + spec.hstar_y, spec.y, axes, -1.0)
-
-
 def _membership(spec: SublevelSpec, axes: Sequence[np.ndarray]) -> np.ndarray:
-    return _gap(spec, axes) <= spec.p
-
-
-# stride of the coarse pass that places the window of a volume grid
-_VOLUME_STRIDE = 8
-
-
-def _volume_window(spec: SublevelSpec,
-                   axes: Sequence[np.ndarray]) -> Optional[tuple[slice, ...]]:
-    """Index slices of a window of the cell grid that holds every member,
-    or None when the window cannot be certified (see `sublevel_volume`)."""
-    k = _VOLUME_STRIDE
-    n = len(axes)
-    coarse = _membership(spec, [a[k // 2::k] for a in axes])
-    if not coarse.any():
-        return None
-    window = []
-    for j, a in enumerate(axes):
-        hit = np.flatnonzero(coarse.any(axis=tuple(i for i in range(n) if i != j)))
-        lo = max(k // 2 + k * int(hit[0]) - k - 1, 0)
-        hi = min(k // 2 + k * int(hit[-1]) + k + 2, len(a))
-        # each face where the window cut the grid, as a two-cell slab of the
-        # face and its neighbour inside: (first index, position of the face)
-        faces = [(lo, 0)] if lo > 0 else []
-        if hi < len(a):
-            faces.append((hi - 2, 1))
-        for first, face in faces:
-            slab = list(axes)
-            slab[j] = a[first:first + 2]
-            gap = _gap(spec, slab)
-            at_face = np.take(gap, face, axis=j)
-            if not (np.all(at_face > spec.p)
-                    and np.all(at_face >= np.take(gap, 1 - face, axis=j))):
-                return None
-        window.append(slice(lo, hi))
-    return tuple(window)
+    return tilt(spec.h.on_axes(list(axes)) + spec.hstar_y, spec.y, axes, -1.0) <= spec.p
 
 
 def _cells(member: np.ndarray) -> tuple[int, int]:
@@ -211,7 +172,7 @@ def _separable_cells(spec: SublevelSpec,
 
 
 def sublevel_volume(spec: SublevelSpec, resolution: Optional[int] = None,
-                    cfg: NumericsConfig = DEFAULT, seed: int = 0) -> VolumeEstimate:
+                    seed: int = 0) -> VolumeEstimate:
     """Volume of D_y(p): cell counting for n <= 3, seeded Monte-Carlo beyond.
 
     The grid has ``resolution`` (--volume-cells) or `VOLUME_CELLS` cells per
@@ -223,24 +184,9 @@ def sublevel_volume(spec: SublevelSpec, resolution: Optional[int] = None,
     99% Wilson interval scaled by the bounding-box volume. Computed once
     per process for each keyed ``spec.h`` and each set of remaining inputs.
 
-    When ``spec.h`` is convex by construction (`GridFn.convex`), the grid
-    method evaluates the predicate only on a window of cells: a coarse pass
-    over every 8th cell centre finds the members' index range on each axis,
-    widened by one coarse step plus one cell. The gap g(x) = h(x) + h*(y) -
-    <x, y> is convex along every grid line, so on a line that leaves
-    the window through a face where g > p and g does not fall from the
-    cell inside to the face cell, g stays above p beyond the face. Each
-    face where the window cut the grid is checked this way on the whole
-    slab across the grid; then no member and no membership flip lies
-    outside the window, and the count and the surface are the whole-grid
-    integers. The window slices the very axes of the whole grid, so every
-    cell has the same float. If the coarse pass finds no member or a face
-    fails its check, or ``spec.h`` is not known to be convex (a weight
-    given only by an evaluator), the whole grid is evaluated.
-
     In 2-D, when ``spec.h`` is keyed and separable (`GridFn.key` and
     `GridFn.axis_profiles` set: log images, symmetrizations and scalings of
-    weights made of power terms), no 2-D array is built at all. With
+    weights of separable terms), no 2-D array is built at all. With
     part_j = f(a_j) - y_j a_j on each whole-grid axis a_j, c = (p - h*(y))
     - part_0 and v = part_1, cell (i, k) is a member iff v[k] <= c[i]; the
     count and the surface come from the sorted vectors by binary search
@@ -257,7 +203,7 @@ def sublevel_volume(spec: SublevelSpec, resolution: Optional[int] = None,
     if resolution is not None and resolution < 1:
         raise ValueError(f"volume resolution must be at least 1, got {resolution}")
     inputs = ("volume", value_bytes(spec.y), spec.p, spec.hstar_y,
-              value_bytes(spec.argmax), resolution, cfg, seed)
+              value_bytes(spec.argmax), resolution, seed)
     est = memoized(spec.h.key, inputs, lambda: _sublevel_volume(spec, resolution, seed))
     if est.value == 0:
         raise ValueError("the sublevel set holds no cell centre of the volume grid (no sample "
@@ -278,9 +224,6 @@ def _sublevel_volume(spec: SublevelSpec, resolution: Optional[int], seed: int) -
     if n == 2 and spec.h.key is not None and spec.h.axis_profiles is not None:
         counts = _separable_cells(spec, axes)
     if counts is None:
-        window = _volume_window(spec, axes) if spec.h.convex else None
-        if window is not None:
-            axes = [a[w] for a, w in zip(axes, window)]
         counts = _cells(_membership(spec, axes))
     count, surface = counts
     cell_vol = float(np.prod(hi - lo)) / cells**n
@@ -382,7 +325,7 @@ def _laplace_integral(h: GridFn, y: np.ndarray, cfg: NumericsConfig,
     ``"axis_integral"``) on the keyed ``h`` and the axis's coordinate, box and
     curvature; the parts are combined in axis order, so no float changes."""
     n = h.n
-    curvs = sup.curvature if sup.curvature.size else np.zeros(n)
+    curvs = sup.curvature
 
     def axis(j: int) -> tuple[np.ndarray, float]:
         box_len = sup.hi[j] - sup.lo[j]
@@ -433,7 +376,7 @@ def sandwich_check(h: GridFn, y, cfg: NumericsConfig = DEFAULT,
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     sup = truncated_sup(h, y, cfg)
     spec = SublevelSpec(h=h, y=y, p=1.0, hstar_y=sup.value, argmax=sup.argmax)
-    volume = sublevel_volume(spec, resolution=resolution, cfg=cfg, seed=seed)
+    volume = sublevel_volume(spec, resolution=resolution, seed=seed)
     integral = laplace_integral(h, y, cfg, sup=sup)
     ln_ratio = integral.ln_value - math.log(volume.value) - sup.value
     ratio = math.exp(ln_ratio)

@@ -267,7 +267,7 @@ def lemma4_check(phi: WeightFunction, alpha: MultiIndex,
         entry = moment(phi, alpha, cfg)
     shifted = np.asarray(alpha.shifted(), dtype=np.float64)
     spec = make_sublevel_spec(log_image(phi), shifted, 0.5, cfg)
-    vol = sublevel_volume(spec, cfg=cfg)
+    vol = sublevel_volume(spec)
     base = phi.n * LN_2PI + math.log(vol.value) + 2.0 * spec.hstar_y
     lo_ln = base - 1.0
     hi_ln = base + math.log(1.0 + math.factorial(phi.n))

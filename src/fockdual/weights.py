@@ -53,8 +53,9 @@ class PowerTerm:
 
     @property
     def separable(self) -> bool:
-        """True when the term is the sum over the axes of `axis_value`."""
-        return self.kind == "power"
+        """True when the term is the sum over the axes of `axis_value`: a power
+        term, or a radial one with p = 2 (c ||x||^2 / 2 = sum_j c x_j^2 / 2)."""
+        return self.kind == "power" or self.p == 2.0
 
     def axis_value(self, r: np.ndarray) -> np.ndarray:
         """1-D profile coef * r**p / p at moduli r >= 0: the term itself at

@@ -101,11 +101,34 @@ def test_sublinear_weight_exits_2(tmp_path):
 
 def test_numeric_failure_exits_3(tmp_path, capsys):
     # a valid weight whose numeric dual cannot be conjugated: a failure of
-    # the numerics, not of the command line
-    mixed2 = Path(__file__).resolve().parents[1] / "fdbench" / "weights" / "mixed2.json"
-    assert run_cli(["identities", "--weight", str(mixed2),
+    # the numerics, not of the command line (the radial term, p != 2, is
+    # not separable)
+    spec = tmp_path / "p3.json"
+    spec.write_text(json.dumps({"n": 2, "terms": [{"type": "power", "p": 4, "coef": 0.25},
+                                                  {"type": "radial_power", "p": 3, "coef": 1}]}))
+    assert run_cli(["identities", "--weight", str(spec),
                     "--out", str(tmp_path / "out")]) == 3
     assert "objective does not decay" in capsys.readouterr().err
+
+
+def test_radial_p2_weight_reports_as_fock2(tmp_path):
+    # c ||x||^2 / 2 = sum_j c x_j^2 / 2: the weight takes fock:2's separable
+    # paths; only the label-gated fock_oracle row tells the reports apart
+    spec = tmp_path / "r2.json"
+    spec.write_text(json.dumps({"n": 2, "terms": [{"type": "radial_power", "p": 2, "coef": 1}]}))
+    radial, fock = tmp_path / "radial", tmp_path / "fock"
+    assert run_cli(["all", "--weight", str(spec), "--degree", "4", "--out", str(radial)]) == 0
+    assert run_cli(["all", "--weight-preset", "fock:2", "--degree", "4",
+                    "--out", str(fock)]) == 0
+    names = sorted(p.name for p in fock.iterdir())
+    assert names == sorted(p.name for p in radial.iterdir())
+    for name in names:
+        want = (fock / name).read_bytes()
+        if name in ("moments_checks.csv", "summary.csv"):
+            want = b"".join(line for line in want.splitlines(keepends=True)
+                            if b"fock_oracle" not in line)
+            assert want != (fock / name).read_bytes()
+        assert (radial / name).read_bytes() == want, name
 
 
 def test_volume_grid_without_members_exits_3(tmp_path, capsys):

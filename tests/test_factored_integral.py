@@ -115,7 +115,7 @@ def test_fock4_moments_match_the_oracle():
 
 
 def test_radial_weight_at_n4_still_hits_the_grid_guard(monkeypatch):
-    w = fd.weight_from_json({"n": 4, "terms": [{"type": "radial_power", "p": 2.0, "coef": 1.0}]})
+    w = fd.weight_from_json({"n": 4, "terms": [{"type": "radial_power", "p": 3.0, "coef": 1.0}]})
     h = symmetrized_fn(w)
     assert h.axis_profiles is None
     y = np.zeros(4)

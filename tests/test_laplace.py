@@ -1,5 +1,6 @@
 """Sublevel volumes, Laplace integrals and the sandwich verdict."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -9,9 +10,9 @@ import pytest
 
 import fockdual as fd
 from fockdual import laplace
-from fockdual.config import DECAY_BUDGET
-from fockdual.fenchel import log_image, symmetrized_fn
-from fockdual.laplace import _monte_carlo_volume
+from fockdual.config import DECAY_BUDGET, VOLUME_CELLS, by_dim
+from fockdual.fenchel import GridFn, log_image, symmetrized_fn
+from fockdual.laplace import _monte_carlo_volume, _sublevel_volume
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -196,3 +197,100 @@ def test_bounding_box_probes_both_faces_at_once_with_the_same_floats(make, y):
     got = laplace._bounding_box(fd.make_sublevel_spec(make(), y, 1.0))
     want = _one_face_box(spec)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def _counting(fn, sizes: list):
+    """``fn`` with its product-grid evaluations recorded in ``sizes``."""
+
+    def on_axes(axes):
+        out = fn.on_axes(axes)
+        sizes.append(out.size)
+        return out
+
+    return dataclasses.replace(fn, on_axes=on_axes)
+
+
+def _whole(spec):
+    """``spec`` without the key, so its volume counts the membership grid."""
+    return dataclasses.replace(spec, h=dataclasses.replace(spec.h, key=None))
+
+
+def _spec(h, y, p: float):
+    y = np.asarray(y, dtype=np.float64)
+    sup = fd.truncated_sup(h, y, fd.DEFAULT)
+    return fd.SublevelSpec(h=h, y=y, p=p, hstar_y=sup.value, argmax=sup.argmax)
+
+
+def _fields(est) -> tuple:
+    return np.float64(est.value).tobytes(), np.float64(est.half_width).tobytes()
+
+
+def test_lemma4_volume_evaluates_a_fifth_of_the_grid():
+    # the Lemma 4 volume of fock:2 at alpha = (3, 4): shifted index (4, 5), slack 1/2
+    spec = _spec(log_image(fd.make_fock(2)), [4.0, 5.0], 0.5)
+    sizes = []
+    got = _sublevel_volume(dataclasses.replace(spec, h=_counting(spec.h, sizes)),
+                           None, 0)
+    cells = by_dim(VOLUME_CELLS, 2)
+    # box probes included
+    assert sum(sizes) <= 0.2 * cells**2
+    assert _fields(got) == _fields(_sublevel_volume(_whole(spec), None, 0))
+
+
+def _fixed_box(monkeypatch, n: int) -> np.ndarray:
+    """Pin the bounding box to [-4, 4]^n; with 64 cells per axis the cell
+    centres are -4 + (i + 1/2) / 8."""
+    monkeypatch.setattr(laplace, "_bounding_box",
+                        lambda spec: (np.full(n, -4.0), np.full(n, 4.0)))
+    return -4.0 + (np.arange(64) + 0.5) / 8.0
+
+
+def test_members_apart_from_the_set_are_counted(monkeypatch):
+    centres = _fixed_box(monkeypatch, 1)
+
+    def fn(x):
+        # not convex: a dip to 0 on (1.65, 1.95) besides the set [-1, 1] of x^2
+        return np.where((x > 1.65) & (x < 1.95), 0.0, x * x)
+
+    # cells 45 (1.6875), 46 and 47 lie in the dip
+    assert centres[45] == 1.6875 and fn(centres[46:48]).max() == 0.0
+    h = GridFn(n=1, at=lambda x: fn(x[..., 0]), on_axes=lambda axes: fn(axes[0]),
+               convex=True)
+    spec = fd.SublevelSpec(h=h, y=np.zeros(1), p=1.0, hstar_y=0.0, argmax=np.zeros(1))
+    sizes = []
+    got = _sublevel_volume(dataclasses.replace(spec, h=_counting(spec.h, sizes)),
+                           64, 0)
+    assert 64 in sizes
+    want = _sublevel_volume(_whole(spec), 64, 0)
+    assert _fields(got) == _fields(want)
+    assert got.value == (16 + 3) / 8
+
+
+def test_thin_convex_set_is_counted_whole(monkeypatch):
+    # A convex needle one tenth of a cell wide: its members are the cells
+    # (28 + 2m, 28 + m), m = -6..6.
+    centres = _fixed_box(monkeypatch, 2)
+    c = np.array([centres[28], centres[28]])
+    u = np.array([2.0, 1.0]) / math.sqrt(5.0)
+    width = 0.1 / 8.0
+    length = 6.5 * math.sqrt(5.0) / 8.0
+
+    def fn(x0, x1):
+        along = (x0 - c[0]) * u[0] + (x1 - c[1]) * u[1]
+        across = (x1 - c[1]) * u[0] - (x0 - c[0]) * u[1]
+        return (across / width) ** 2 + (along / length) ** 2
+
+    h = GridFn(n=2, at=lambda x: fn(x[..., 0], x[..., 1]),
+               on_axes=lambda axes: fn(axes[0][:, None], axes[1][None, :]), convex=True)
+    spec = fd.SublevelSpec(h=h, y=np.zeros(2), p=1.0, hstar_y=0.0, argmax=c)
+    got = _sublevel_volume(spec, 64, 0)
+    want = _sublevel_volume(_whole(spec), 64, 0)
+    assert _fields(got) == _fields(want)
+    assert got.value == 13 / 64
+
+
+def test_resolution_below_one_is_rejected():
+    spec = _spec(symmetrized_fn(fd.make_fock(1)), [0.0], 1.0)
+    for resolution in (0, -4):
+        with pytest.raises(ValueError, match="at least 1"):
+            laplace.sublevel_volume(spec, resolution=resolution)

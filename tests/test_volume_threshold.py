@@ -52,7 +52,7 @@ def _counting(fn: GridFn, sizes: list, profile_sizes: list) -> GridFn:
 
 
 def _whole(spec: SublevelSpec) -> SublevelSpec:
-    return dataclasses.replace(spec, h=dataclasses.replace(spec.h, convex=False, key=None))
+    return dataclasses.replace(spec, h=dataclasses.replace(spec.h, key=None))
 
 
 def _spec(h: GridFn, y, p: float) -> SublevelSpec:
@@ -118,7 +118,8 @@ def test_lemma4_volume_evaluates_two_axis_vectors():
 @pytest.mark.parametrize("h", [
     symmetrized_fn(fd.make_fock(1)),
     symmetrized_fn(fd.make_fock(3)),
-    symmetrized_fn(fd.weight_from_json(ROOT / "fdbench" / "weights" / "mixed2.json")),
+    symmetrized_fn(fd.weight_from_json({"n": 2, "terms": [
+        {"type": "power", "p": 4, "coef": 0.25}, {"type": "radial_power", "p": 3, "coef": 1}]})),
     dataclasses.replace(symmetrized_fn(fd.make_fock(2)), key=None),
 ], ids=["n1", "n3", "nonseparable", "unkeyed"])
 def test_other_functions_keep_the_membership_grid(h, monkeypatch):
@@ -155,6 +156,6 @@ def test_cell_on_the_boundary_falls_back_to_the_whole_grid(monkeypatch):
     got = _sublevel_volume(dataclasses.replace(spec, h=_counting(h, sizes, profile_sizes)),
                            64, 0)
     assert profile_sizes == [64, 64]
-    # the fallback evaluates the membership grid (here through its window)
+    # the fallback evaluates the membership grid
     assert sizes and max(sizes) > 64
     assert _fields(got) == _fields(_sublevel_volume(_whole(spec), 64, 0))

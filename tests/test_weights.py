@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fockdual as fd
@@ -164,12 +164,16 @@ def _bits(a):
     return np.asarray(a, dtype=np.float64).tobytes()
 
 
-@given(n=st.integers(1, 3), terms=_TERMS, data=st.data())
+@given(n=st.integers(1, 3), terms=_TERMS, axes=st.lists(_AXES, min_size=3, max_size=3))
+# a radial term with p = 2 is separable, alone and beside a power term (mixed2.json)
+@example(n=2, terms=[("radial_power", 2.0, 1.0)], axes=[[0.0, 1.5, -3.0], [2.0, -0.5], [1.0]])
+@example(n=2, terms=[("power", 4.0, 0.25), ("radial_power", 2.0, 1.0)],
+         axes=[[0.0, 1.5, -3.0], [2.0, -0.5], [1.0]])
 @settings(max_examples=200, deadline=None)
-def test_term_evaluators_agree(n, terms, data):
+def test_term_evaluators_agree(n, terms, axes):
     w = fd.weight_from_json({"n": n, "terms": [
         {"type": kind, "p": p, "coef": coef} for kind, p, coef in terms]})
-    axes = [np.array(data.draw(_AXES)) for _ in range(n)]
+    axes = [np.array(a) for a in axes[:n]]
     pointwise = w.eval(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
     # the evaluators sum the same term values in another order, except with
     # one term or one axis
@@ -178,11 +182,12 @@ def test_term_evaluators_agree(n, terms, data):
         assert _bits(on_axes) == _bits(pointwise)
     else:
         np.testing.assert_allclose(on_axes, pointwise, rtol=1e-14, atol=0)
-    assert w.is_separable == (n == 1 or all(kind == "power" for kind, _, _ in terms))
+    separable_terms = all(kind == "power" or p == 2.0 for kind, p, _ in terms)
+    assert w.is_separable == (n == 1 or separable_terms)
     if w.is_separable:
         prof = w.axis_profile()
         by_axis = add_on_axes(np.zeros(pointwise.shape), [prof(a) for a in axes])
-        if all(kind == "power" for kind, _, _ in terms) and (n == 1 or len(terms) == 1):
+        if separable_terms and (n == 1 or len(terms) == 1):
             assert _bits(by_axis) == _bits(pointwise)
         else:
             # a radial term's profile is c r^p / p, its value c (r^2)^(p/2) / p,
