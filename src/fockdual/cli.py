@@ -48,7 +48,6 @@ class RunConfig:
     fmt: str = "csv"
     seed: int = 0
     refine: int = 0
-    volume_cells: Optional[int] = None
     tol_identity: float = TOL_IDENTITY
 
     def __post_init__(self):
@@ -58,9 +57,6 @@ class RunConfig:
             raise WeightSpecError(f"unknown report format {self.fmt!r}")
         if self.seed < 0:
             raise WeightSpecError(f"--seed must be nonnegative, got {self.seed}")
-        if self.volume_cells is not None and self.volume_cells < 1:
-            raise WeightSpecError(
-                f"--volume-cells must be a positive cell count, got {self.volume_cells}")
         if not (math.isfinite(self.tol_identity) and self.tol_identity > 0):
             raise WeightSpecError(
                 f"--tol-identity must be a finite positive tolerance, got {self.tol_identity}")
@@ -71,7 +67,6 @@ class SuiteResult:
     command: str
     run: RunConfig
     checks: list = field(default_factory=list)  # (check_id, passed, detail)
-    artifacts: list = field(default_factory=list)
     wall_time: float = 0.0
 
     @property
@@ -84,9 +79,8 @@ class SuiteResult:
               + (f" ({detail})" if detail else ""))
 
     def table(self, name: str, header: list, rows: list) -> None:
-        """Write a report table to the run's output directory and record it."""
-        path = write_table(Path(self.run.out_dir), name, header, rows, self.run.fmt)
-        self.artifacts.append(str(path))
+        """Write a report table to the run's output directory."""
+        write_table(Path(self.run.out_dir), name, header, rows, self.run.fmt)
 
 
 def load_weight(run: RunConfig) -> WeightFunction:
@@ -340,9 +334,7 @@ def cmd_sandwich(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
     all_ok = True
     worst_err = 0.0
     for y in _sandwich_grid(w.n):
-        rep = laplace.sandwich_check(
-            h, y, cfg, resolution=run.volume_cells, seed=run.seed
-        )
+        rep = laplace.sandwich_check(h, y, cfg)
         all_ok = all_ok and rep.verdict
         worst_err = max(worst_err, rep.combined_rel_error)
         rows.append(tuple(y) + (
@@ -368,9 +360,7 @@ def cmd_moments(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
     else:
         # the JSON table keeps its own layout (`MomentTable.to_json`)
         Path(run.out_dir).mkdir(parents=True, exist_ok=True)
-        path = Path(run.out_dir) / "moments_table.json"
-        table.to_json(path)
-        result.artifacts.append(str(path))
+        table.to_json(Path(run.out_dir) / "moments_table.json")
 
     check_rows = []
     lemma2_ok = True
@@ -522,8 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--refine", action="count", default=0,
                        help="halve grid steps (repeatable); identities also "
                             "check the residual shrink factor")
-        p.add_argument("--volume-cells", type=int, default=None,
-                       help="override cells per axis for grid volumes")
         p.add_argument("--tol-identity", type=float, default=TOL_IDENTITY)
     return parser
 

@@ -171,18 +171,17 @@ def _separable_cells(spec: SublevelSpec,
     return _threshold_cells(c, v)
 
 
-def sublevel_volume(spec: SublevelSpec, resolution: Optional[int] = None,
-                    seed: int = 0) -> VolumeEstimate:
-    """Volume of D_y(p): cell counting for n <= 3, seeded Monte-Carlo beyond.
+def sublevel_volume(spec: SublevelSpec) -> VolumeEstimate:
+    """Volume of D_y(p): cell counting for n <= 3, Monte-Carlo beyond.
 
-    The grid has ``resolution`` (--volume-cells) or `VOLUME_CELLS` cells per
-    axis and counts those whose centers satisfy the membership predicate;
-    its half_width is the total volume of surface cells (cells adjacent to
-    a membership flip). A count of 0 bounds nothing (the set lies between
-    the centres, so no cell is on its surface either): it raises a
-    ValueError. Monte-Carlo always draws `MC_SAMPLES` points and reports a
-    99% Wilson interval scaled by the bounding-box volume. Computed once
-    per process for each keyed ``spec.h`` and each set of remaining inputs.
+    The grid has `VOLUME_CELLS` cells per axis and counts those whose
+    centers satisfy the membership predicate; its half_width is the total
+    volume of surface cells (cells adjacent to a membership flip). A count
+    of 0 bounds nothing (the set lies between the centres, so no cell is
+    on its surface either): it raises a ValueError. Monte-Carlo always
+    draws `MC_SAMPLES` points of one fixed stream and reports a 99% Wilson
+    interval scaled by the bounding-box volume. Computed once per process
+    for each keyed ``spec.h`` and each set of remaining inputs.
 
     In 2-D, when ``spec.h`` is keyed and separable (`GridFn.key` and
     `GridFn.axis_profiles` set: log images, symmetrizations and scalings of
@@ -200,25 +199,21 @@ def sublevel_volume(spec: SublevelSpec, resolution: Optional[int] = None,
     and the count and the surface are the whole-grid integers. This rests
     on the arithmetic alone, not on convexity.
     """
-    if resolution is not None and resolution < 1:
-        raise ValueError(f"volume resolution must be at least 1, got {resolution}")
-    inputs = ("volume", value_bytes(spec.y), spec.p, spec.hstar_y,
-              value_bytes(spec.argmax), resolution, seed)
-    est = memoized(spec.h.key, inputs, lambda: _sublevel_volume(spec, resolution, seed))
+    inputs = ("volume", value_bytes(spec.y), spec.p, spec.hstar_y, value_bytes(spec.argmax))
+    est = memoized(spec.h.key, inputs, lambda: _sublevel_volume(spec, None, 0))
     if est.value == 0:
         raise ValueError("the sublevel set holds no cell centre of the volume grid (no sample "
-                         "at n > 3), so its volume cannot be bounded; raise --volume-cells")
+                         "at n > 3), so its volume cannot be bounded")
     return est
 
 
 def _sublevel_volume(spec: SublevelSpec, resolution: Optional[int], seed: int) -> VolumeEstimate:
+    """Unmemoized `sublevel_volume` on a grid of ``resolution`` or Monte-Carlo stream ``seed``."""
     n = spec.h.n
     lo, hi = _bounding_box(spec)
     if n > 3:
         return _monte_carlo_volume(spec, lo, hi, MC_SAMPLES, seed)
     cells = resolution if resolution is not None else by_dim(VOLUME_CELLS, n)
-    if cells**n > 5e7:
-        raise ValueError(f"volume grid too large ({cells}**{n} cells); lower --volume-cells")
     axes = [lo[j] + (hi[j] - lo[j]) / cells * (np.arange(cells) + 0.5) for j in range(n)]
     counts = None
     if n == 2 and spec.h.key is not None and spec.h.axis_profiles is not None:
@@ -370,13 +365,12 @@ class SandwichReport:
     combined_rel_error: float
 
 
-def sandwich_check(h: GridFn, y, cfg: NumericsConfig = DEFAULT,
-                   resolution: Optional[int] = None, seed: int = 0) -> SandwichReport:
+def sandwich_check(h: GridFn, y, cfg: NumericsConfig = DEFAULT) -> SandwichReport:
     """Verdict on e^{-1} <= integral / (V e^{h*(y)}) <= 1 + n! at slack p = 1."""
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     sup = truncated_sup(h, y, cfg)
     spec = SublevelSpec(h=h, y=y, p=1.0, hstar_y=sup.value, argmax=sup.argmax)
-    volume = sublevel_volume(spec, resolution=resolution, seed=seed)
+    volume = sublevel_volume(spec)
     integral = laplace_integral(h, y, cfg, sup=sup)
     ln_ratio = integral.ln_value - math.log(volume.value) - sup.value
     ratio = math.exp(ln_ratio)

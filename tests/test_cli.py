@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fockdual as fd
-from fockdual import cli, fenchel
+from fockdual import cli, fenchel, laplace
 from fockdual.config import CONJ_STEP, by_dim
 
 
@@ -131,21 +131,35 @@ def test_radial_p2_weight_reports_as_fock2(tmp_path):
         assert (radial / name).read_bytes() == want, name
 
 
-def test_volume_grid_without_members_exits_3(tmp_path, capsys):
+def test_volume_grid_without_members_exits_3(tmp_path, capsys, monkeypatch):
     # two cells per axis: the fock:3 sublevel set lies between the cell centres
-    assert run_cli(["sandwich", "--weight-preset", "fock:3", "--volume-cells", "2",
+    seam = laplace._sublevel_volume
+    monkeypatch.setattr(laplace, "_sublevel_volume",
+                        lambda spec, resolution, seed: seam(spec, 2, seed))
+    monkeypatch.setattr(fenchel, "_MEMO", {})
+    assert run_cli(["sandwich", "--weight-preset", "fock:3",
                     "--out", str(tmp_path / "out")]) == 3
-    err = capsys.readouterr().err
-    assert "holds no cell centre of the volume grid" in err and "--volume-cells" in err
+    assert "holds no cell centre of the volume grid" in capsys.readouterr().err
 
 
-_CELLS = "--volume-cells must be a positive cell count"
+def test_sandwich_reports_do_not_depend_on_the_seed(tmp_path, monkeypatch):
+    # at n = 4 every volume is Monte-Carlo, drawn from one fixed stream
+    monkeypatch.setattr(laplace, "MC_SAMPLES", 2_000)
+    tables = []
+    for seed in ("0", "7"):
+        monkeypatch.setattr(fenchel, "_MEMO", {})
+        out = tmp_path / seed
+        code = run_cli(["sandwich", "--weight-preset", "fock:4", "--seed", seed,
+                        "--out", str(out)])
+        assert code in (0, 1)
+        tables.append((out / "sandwich_table.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 _TOL = "--tol-identity must be a finite positive tolerance"
 
 
 @pytest.mark.parametrize("option,value,message", [
-    pytest.param("--volume-cells", "0", _CELLS, id="0"),
-    pytest.param("--volume-cells", "-4", _CELLS, id="-4"),
     pytest.param("--seed", "-1", "--seed must be nonnegative", id="seed--1"),
     pytest.param("--tol-identity", "nan", _TOL, id="tol-nan"),
     pytest.param("--tol-identity", "inf", _TOL, id="tol-inf"),
@@ -158,6 +172,17 @@ def test_nonpositive_volume_cells_is_a_usage_error(tmp_path, capsys, option, val
                     "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n,degree", [(1, 8), (2, 4)])
+def test_small_coefficient_quadratic_passes_every_check(tmp_path, n, degree):
+    # 0.05 ||x||^2 / 2 is in the class; class_v measures growth relative to
+    # the inner radius, so a small coefficient passes
+    spec = tmp_path / "w.json"
+    spec.write_text(json.dumps({"n": n, "terms": [{"type": "power", "p": 2, "coef": 0.05}]}))
+    assert run_cli(["all", "--weight", str(spec), "--degree", str(degree),
+                    "--out", str(tmp_path / "out")]) == 0
+    assert "class_v,true" in (tmp_path / "out" / "conjugate_checks.csv").read_text()
 
 
 def test_identities_and_sandwich_pass(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fockdual as fd
-from fockdual import laplace
+from fockdual import fenchel, laplace
 from fockdual.config import DECAY_BUDGET, VOLUME_CELLS, by_dim
 from fockdual.fenchel import GridFn, log_image, symmetrized_fn
 from fockdual.laplace import _monte_carlo_volume, _sublevel_volume
@@ -62,13 +62,16 @@ def test_volume_monte_carlo_agrees_with_grid(h2):
     assert fresh.value == vm.value
 
 
-def test_monte_carlo_volume_ignores_the_grid_resolution():
-    # at n = 4 the volume is Monte-Carlo, which always draws MC_SAMPLES points
-    spec = fd.make_sublevel_spec(symmetrized_fn(fd.make_fock(4)), [0.5, -0.5, 0.0, 1.0], 1.0)
-    got = fd.sublevel_volume(spec, resolution=10)
-    want = fd.sublevel_volume(spec)
-    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
-    assert np.float64(got.half_width).tobytes() == np.float64(want.half_width).tobytes()
+def test_volume_grid_without_members_is_rejected(monkeypatch):
+    # two cells per axis: the fock:3 sublevel set lies between the cell centres
+    spec = fd.make_sublevel_spec(symmetrized_fn(fd.make_fock(3)), [-1.0, -1.0, -1.0], 1.0)
+    assert _sublevel_volume(spec, 2, 0).value == 0
+    seam = laplace._sublevel_volume
+    monkeypatch.setattr(laplace, "_sublevel_volume",
+                        lambda spec, resolution, seed: seam(spec, 2, seed))
+    monkeypatch.setattr(fenchel, "_MEMO", {})
+    with pytest.raises(ValueError, match="holds no cell centre of the volume grid"):
+        fd.sublevel_volume(spec)
 
 
 def test_volume_unbounded_rejected():
@@ -287,10 +290,3 @@ def test_thin_convex_set_is_counted_whole(monkeypatch):
     want = _sublevel_volume(_whole(spec), 64, 0)
     assert _fields(got) == _fields(want)
     assert got.value == 13 / 64
-
-
-def test_resolution_below_one_is_rejected():
-    spec = _spec(symmetrized_fn(fd.make_fock(1)), [0.0], 1.0)
-    for resolution in (0, -4):
-        with pytest.raises(ValueError, match="at least 1"):
-            laplace.sublevel_volume(spec, resolution=resolution)

@@ -160,6 +160,24 @@ def test_stirling_with_shared_dual_is_bit_identical():
                 == fd.stirling_identity_check(w, alpha))
 
 
+@pytest.mark.parametrize("refine", [0, 1])
+def test_separable_dual_tables_are_prefixes_of_one_grid(refine):
+    # a separable table is np.linspace(0, E, ceil(E / h) + 1), with E a node of
+    # `_sup_line`'s coarse grid (a multiple of 0.25): its nodes are exactly
+    # i * h, so a grown table starts with the smaller one, and a shared, grown
+    # dual gives the floats of a fresh one (see the Stirling test above)
+    cfg = fd.NumericsConfig(refine)
+    step = cfg.step_for(1, separable=True)
+    dual = fenchel._NumericDual(fd.weight_from_json(SEP1_WEIGHT), cfg)
+    tables = [dual._table(r_max)[:2] for r_max in (0.5, 3.75, 5.0, 12.0, 40.0)]
+    assert len({len(nodes) for nodes, _ in tables}) == 4
+    for (small, small_vals), (nodes, vals) in zip(tables, tables[1:]):
+        assert nodes[-1] % 0.25 == 0
+        assert np.array_equal(nodes, np.arange(len(nodes)) * step)
+        assert np.array_equal(nodes[:len(small)], small)
+        assert np.array_equal(vals[:len(small)], small_vals)
+
+
 def test_numeric_dual_skips_extent_sup_inside_its_reach(monkeypatch):
     w = fd.weight_from_json(SEP1_WEIGHT)
     dual = fenchel._NumericDual(w, fd.DEFAULT)

@@ -58,6 +58,23 @@ def test_validate_linear_growth_fails_superlinearity(linear_growth_double):
     assert not rep.superlinear_ok
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_validate_small_coefficient_quadratic_passes(n):
+    # 0.05 ||x||^2 / 2 is admissible; the growth test is relative, so
+    # scaling a weight by a positive constant keeps its verdict
+    for coef in (0.05, 1e-3, 1.0, 1e3):
+        w = fd.weight_from_json({"n": n, "terms": [{"type": "power", "p": 2, "coef": coef}]})
+        rep = fd.validate_class_V(w)
+        assert rep.superlinear_ok and rep.worst_violation == 0.0, coef
+
+
+def test_validate_ratio_zero_at_the_inner_radius_fails():
+    w = fd.WeightFunction(n=1, eval=lambda x: np.zeros(np.shape(x)[:-1]), label="zero")
+    rep = fd.validate_class_V(w)
+    assert rep.symmetric_ok and rep.monotone_ok
+    assert not rep.superlinear_ok
+
+
 def test_validate_odd_eval_fails_symmetry(odd_double):
     rep = fd.validate_class_V(odd_double)
     assert not rep.symmetric_ok
