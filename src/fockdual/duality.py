@@ -5,8 +5,12 @@ A continuous functional with Riesz representer sum b_alpha z^alpha has
 transform coefficients d_alpha = c_alpha(phi) conj(b_alpha) / alpha!; the
 inverse recovers g_alpha = conj(d_alpha) alpha! / c_alpha(phi). Bounding
 these maps between the weighted sequence norms is exactly what the
-volume-product condition certifies. All large factors (moments,
-factorials squared) are combined in log space.
+volume-product condition certifies. The moment tables and the map scales
+c_alpha / alpha! are formed in log space; the norm sums exponentiate each
+term, so a norm whose terms pass the float range raises ValueError.
+
+Every map and norm takes one sequence or a batch of them (`random_sequence`
+with ``count``) and gives one value per sequence.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,7 +36,9 @@ class CoefficientSequence:
 
     Stored dense: read-only real and imaginary float arrays ``re`` and
     ``im`` with one entry per iter_indices(n, truncation_degree) index, in
-    that order. Entries that are exactly zero count as absent.
+    that order. Entries that are exactly zero count as absent. A batch of B
+    sequences holds (B, N) arrays, one row per sequence; ``items``, ``get``
+    and the JSON form read a single sequence.
     """
 
     n: int
@@ -95,13 +101,6 @@ class CoefficientSequence:
         i = index_positions(self.n, self.truncation_degree).get(alpha)
         return 0j if i is None else complex(self.re[i], self.im[i])
 
-    def moduli(self) -> tuple[np.ndarray, list[float]]:
-        """Positions of the nonzero entries and their moduli; np.hypot gives
-        the same floats as abs(complex)."""
-        mag = np.hypot(self.re, self.im)
-        keep = np.flatnonzero(mag)
-        return keep, mag[keep].tolist()
-
     def to_json(self, path) -> None:
         payload = {
             "n": self.n,
@@ -123,18 +122,40 @@ class CoefficientSequence:
         return cls(n=payload["n"], coeffs=coeffs, truncation_degree=payload["degree"])
 
 
-def random_sequence(n: int, degree: int, rng: np.random.Generator) -> CoefficientSequence:
+def random_sequence(n: int, degree: int, rng: np.random.Generator,
+                    count: Optional[int] = None) -> CoefficientSequence:
     """Dense standard-complex-normal coefficients up to the given degree; one
-    (re, im) draw per index, in index order."""
-    re, im = (rng.standard_normal((len(index_positions(n, degree)), 2)) / math.sqrt(2.0)).T
-    return CoefficientSequence.dense(n, degree, re, im)
+    (re, im) draw per index, in index order. With ``count``, a batch of that
+    many sequences: the same draws as ``count`` successive single calls."""
+    shape = (len(index_positions(n, degree)), 2)
+    z = rng.standard_normal(shape if count is None else (count,) + shape) / math.sqrt(2.0)
+    return CoefficientSequence.dense(n, degree, z[..., 0], z[..., 1])
 
 
-def _pairwise_desc_sum(values: Iterable[float]) -> float:
-    # numpy's reduction is pairwise; feeding it magnitude-sorted terms keeps
-    # the accumulation well conditioned for wildly scaled summands
-    arr = np.sort(np.asarray(list(values), dtype=np.float64))[::-1]
-    return float(arr.sum())
+def _each(c: CoefficientSequence, values: list):
+    """The values of a batch, one per row, or the one value of a sequence."""
+    return values if c.re.ndim == 2 else values[0]
+
+
+def _exp_sums(c: CoefficientSequence, exponent) -> list[float]:
+    """Per sequence, sum e^{exponent(ln|c_alpha|, positions)} over its nonzero
+    entries. math.log and math.exp entry by entry: their numpy counterparts
+    round differently. numpy's reduction is pairwise, and each row's terms are
+    sorted by magnitude and summed as their own array (never padded, which
+    would move the pairwise blocks), so wildly scaled terms stay well
+    conditioned."""
+    mag = np.hypot(np.atleast_2d(c.re), np.atleast_2d(c.im))  # abs(complex)
+    nonzero = mag != 0
+    cols = np.nonzero(nonzero)[1]
+    ln_mag = np.fromiter(map(math.log, mag[nonzero].tolist()), float, len(cols))
+    try:
+        terms = np.fromiter(map(math.exp, exponent(ln_mag, cols).tolist()), float, len(cols))
+    except OverflowError:
+        raise ValueError(
+            f"a weighted norm at degree {c.truncation_degree} exceeds the float range"
+        ) from None
+    ends = np.cumsum(np.count_nonzero(nonzero, axis=1)).tolist()
+    return [float(np.sort(terms[a:b])[::-1].sum()) for a, b in zip([0] + ends, ends)]
 
 
 def _dense_table(c: CoefficientSequence, table: MomentTable):
@@ -143,14 +164,14 @@ def _dense_table(c: CoefficientSequence, table: MomentTable):
     return table.dense_vectors(c.truncation_degree)
 
 
-def norm_sq(c: CoefficientSequence, table: MomentTable) -> float:
-    """Squared weighted norm sum |a_alpha|^2 c_alpha (diagonal Gram matrix)."""
+def _norm_sqs(c: CoefficientSequence, table: MomentTable) -> list[float]:
     ln_c = _dense_table(c, table)[0]
-    keep, mags = c.moduli()
-    # math.exp and math.log per entry: their numpy counterparts round differently
-    return _pairwise_desc_sum(
-        math.exp(2.0 * math.log(m) + ln) for m, ln in zip(mags, ln_c[keep].tolist())
-    )
+    return _exp_sums(c, lambda ln_m, j: 2.0 * ln_m + ln_c[j])
+
+
+def norm_sq(c: CoefficientSequence, table: MomentTable) -> float | list[float]:
+    """Squared weighted norm sum |a_alpha|^2 c_alpha (diagonal Gram matrix)."""
+    return _each(c, _norm_sqs(c, table))
 
 
 def forward_map(b: CoefficientSequence, table_phi: MomentTable) -> CoefficientSequence:
@@ -167,17 +188,13 @@ def inverse_map(d: CoefficientSequence, table_phi: MomentTable) -> CoefficientSe
 
 
 def direct_forward_norm_sq(b: CoefficientSequence, table_phi: MomentTable,
-                           table_phi_star: MomentTable) -> float:
+                           table_phi_star: MomentTable) -> float | list[float]:
     """||forward(b)||^2 in the dual weight's norm, summed straight from b:
     sum e^{2 (ln c_alpha + ln|b_alpha| - ln alpha!) + ln c*_alpha}."""
     ln_c, ln_fact, _ = _dense_table(b, table_phi)
     ln_c_star = _dense_table(b, table_phi_star)[0]
-    keep, mags = b.moduli()
-    return _pairwise_desc_sum(
-        math.exp(2.0 * (c + math.log(m) - f) + c_star)
-        for m, c, f, c_star in zip(mags, ln_c[keep].tolist(), ln_fact[keep].tolist(),
-                                   ln_c_star[keep].tolist())
-    )
+    return _each(b, _exp_sums(
+        b, lambda ln_m, j: 2.0 * (ln_c[j] + ln_m - ln_fact[j]) + ln_c_star[j]))
 
 
 @dataclass(frozen=True)
@@ -268,47 +285,49 @@ _BOUND_TOL = 1e-9
 def isomorphism_bound_check(b: CoefficientSequence, table_phi: MomentTable,
                             table_phi_star: MomentTable, K: float,
                             d: Optional[CoefficientSequence] = None,
-                            back: Optional[CoefficientSequence] = None,
-                            ) -> tuple[BoundReport, BoundReport]:
+                            back: Optional[CoefficientSequence] = None):
     """Operator bounds for the transform pair at a certified constant K.
 
     Forward: ||forward(b)||^2 (dual weight) <= (2 pi)^n (1 + n!)^2 K ||b||^2.
     Inverse: for G = forward(b), ||inverse(G)||^2 <= K e^2 (2 e pi)^n ||G||^2.
     ``d`` is forward(b) and ``back`` is inverse(d) when the caller already
-    has them.
+    has them. Returns the (forward, inverse) pair of reports, or for a batch
+    a list of one pair per sequence.
     """
     n = b.n
     m1 = (2.0 * math.pi) ** n * (1.0 + math.factorial(n)) ** 2 * K
+    c_inv = K * math.e**2 * (2.0 * math.e * math.pi) ** n
     if d is None:
         d = forward_map(b, table_phi)
-    lhs1 = norm_sq(d, table_phi_star)
-    rhs1 = m1 * norm_sq(b, table_phi)
-    report1 = BoundReport(
-        lhs=lhs1, rhs=rhs1, constant_used=m1, ok=lhs1 <= rhs1 * (1.0 + _BOUND_TOL)
-    )
-    c_inv = K * math.e**2 * (2.0 * math.e * math.pi) ** n
     if back is None:
         back = inverse_map(d, table_phi)
-    lhs2 = norm_sq(back, table_phi)
-    rhs2 = c_inv * lhs1  # ||G||^2 in the dual weight's norm
-    report2 = BoundReport(
-        lhs=lhs2, rhs=rhs2, constant_used=c_inv, ok=lhs2 <= rhs2 * (1.0 + _BOUND_TOL)
-    )
-    return report1, report2
+    pairs = []
+    for lhs1, norm_b, lhs2 in zip(_norm_sqs(d, table_phi_star), _norm_sqs(b, table_phi),
+                                  _norm_sqs(back, table_phi)):
+        rhs1 = m1 * norm_b
+        rhs2 = c_inv * lhs1  # ||G||^2 in the dual weight's norm
+        pairs.append((
+            BoundReport(lhs=lhs1, rhs=rhs1, constant_used=m1,
+                        ok=lhs1 <= rhs1 * (1.0 + _BOUND_TOL)),
+            BoundReport(lhs=lhs2, rhs=rhs2, constant_used=c_inv,
+                        ok=lhs2 <= rhs2 * (1.0 + _BOUND_TOL)),
+        ))
+    return _each(b, pairs)
 
 
 def roundtrip_ulp_error(b: CoefficientSequence, table_phi: MomentTable,
-                        back: Optional[CoefficientSequence] = None) -> float:
+                        back: Optional[CoefficientSequence] = None,
+                        ) -> float | list[float]:
     """Max per-component ulp distance of inverse(forward(b)) from b;
     ``back`` is inverse(forward(b)) when the caller already has it."""
     if back is None:
         back = inverse_map(forward_map(b, table_phi), table_phi)
     worst = 0.0
     for rec, ref in ((back.re, b.re), (back.im, b.im)):
-        # np.spacing(|x|) is math.ulp(|x|)
+        # np.spacing(|x|) is math.ulp(|x|); fmax skips a NaN as max() does
         ulp = np.where(ref != 0, np.spacing(np.abs(ref)), math.ulp(1.0))
-        worst = max(worst, float(np.max(np.abs(rec - ref) / ulp)))
-    return worst
+        worst = np.fmax(worst, np.max(np.abs(rec - ref) / ulp, axis=-1))
+    return _each(b, np.atleast_1d(worst).tolist())
 
 
 def monomial_orthogonality_check(phi: WeightFunction, alpha: MultiIndex,

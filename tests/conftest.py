@@ -124,6 +124,28 @@ def duality_oracle():
     )
 
 
+def _fenchel_young_loop(f, conj, seed):
+    """The conjugate suite's 200 Fenchel-Young probes one at a time: per probe
+    one primal, then one dual, index draw per axis and x @ xi on 1-D arrays.
+    The oracle the batched probes are compared against bit for bit."""
+    rng = np.random.default_rng(seed)
+    primal_nodes = [a.nodes() for a in f.axes]
+    dual_nodes = [a.nodes() for a in conj.axes]
+    gaps = []
+    for _ in range(200):
+        i = tuple(rng.integers(0, a.count) for a in f.axes)
+        k = tuple(rng.integers(0, a.count) for a in conj.axes)
+        x = np.array([primal_nodes[j][i[j]] for j in range(f.n)])
+        xi = np.array([dual_nodes[j][k[j]] for j in range(f.n)])
+        gaps.append(float(x @ xi) - float(f.values[i]) - float(conj.values[k]))
+    return gaps
+
+
+@pytest.fixture(scope="session")
+def fenchel_young_loop():
+    return _fenchel_young_loop
+
+
 @pytest.fixture(scope="session")
 def fock1():
     return make_fock(1)

@@ -11,6 +11,7 @@ import pytest
 import fockdual as fd
 from fockdual import cli, fenchel, laplace
 from fockdual.config import CONJ_STEP, by_dim
+from fockdual.fenchel import GridAxis, SampledFunction
 
 
 def run_cli(args):
@@ -236,24 +237,46 @@ def test_fock4_moments_exit_0(tmp_path):
                     "--out", str(tmp_path)]) == 0
 
 
-def test_duality_maps_each_sequence_forward_once(tmp_path, monkeypatch):
+def _calls_to(monkeypatch, name):
     calls = []
-    forward = fd.duality.forward_map
-    monkeypatch.setattr(fd.duality, "forward_map",
-                        lambda b, table: calls.append(b) or forward(b, table))
-    assert run_cli(["duality", "--weight-preset", "fock:1", "--degree", "2",
-                    "--out", str(tmp_path)]) == 0
-    assert len(calls) == 100 and len({id(b) for b in calls}) == 100
+    original = getattr(fd.duality, name)
+    monkeypatch.setattr(fd.duality, name,
+                        lambda c, *args, **kw: calls.append(c) or original(c, *args, **kw))
+    return calls
 
 
-def test_duality_maps_each_sequence_back_once(tmp_path, monkeypatch):
-    calls = []
-    inverse = fd.duality.inverse_map
-    monkeypatch.setattr(fd.duality, "inverse_map",
-                        lambda d, table: calls.append(d) or inverse(d, table))
+@pytest.mark.parametrize("name", ["forward_map", "inverse_map", "isomorphism_bound_check"])
+def test_duality_maps_the_batch_of_sequences_once(tmp_path, monkeypatch, name):
+    # the 100 random sequences are one (100, N) batch: each map and the bound
+    # check run once on it, so no sequence is mapped twice
+    calls = _calls_to(monkeypatch, name)
     assert run_cli(["duality", "--weight-preset", "fock:1", "--degree", "2",
                     "--out", str(tmp_path)]) == 0
-    assert len(calls) == 100 and len({id(d) for d in calls}) == 100
+    assert len(calls) == 1 and calls[0].re.shape == (100, 3)
+    assert len(np.unique(calls[0].re, axis=0)) == 100
+
+
+def test_norm_past_the_float_range_exits_3(tmp_path, capsys):
+    # the norm sums exponentiate each term: fock:1 at degree 175 passes e^709
+    assert run_cli(["duality", "--weight-preset", "fock:1", "--degree", "175",
+                    "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "degree 175 exceeds the float range" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fenchel_young_probes_match_the_scalar_loop(n, fenchel_young_loop):
+    # the conjugate suite's grid sizes; a dual step that is not a binary
+    # fraction, so that each x . xi rounds
+    counts, dual_counts = {1: (321, 257), 2: (97, 65), 3: (25, 17)}[n]
+    primal = tuple(GridAxis(-6.0, 6.0, counts) for _ in range(n))
+    f = SampledFunction(primal, fenchel.symmetrized_fn(fd.make_separable_power(n, 3.0))
+                        .on_axes([a.nodes() for a in primal]))
+    conj = fenchel.conjugate_nd(f, [GridAxis(-7.3, 7.3, dual_counts)] * n)
+    for seed in range(5):
+        assert cli._fenchel_young_gaps(f, conj, seed).tolist() == \
+            fenchel_young_loop(f, conj, seed)
 
 
 def test_json_format(tmp_path):

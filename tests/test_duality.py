@@ -3,6 +3,7 @@ scan against a root-finding oracle, and the operator bounds."""
 
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,3 +277,66 @@ def test_dense_maps_match_per_index_formulas_exactly(duality_oracle, request, we
         assert fd.roundtrip_ulp_error(b, table) == oracle.roundtrip_ulp(items, table)
         assert (fd.duality.direct_forward_norm_sq(b, table, table_star)
                 == oracle.direct_norm(items, table, table_star))
+
+
+SEP1 = Path(__file__).resolve().parents[1] / "fdbench" / "weights" / "sep1.json"
+
+
+def _assert_rows_are_the_singles(batch, singles, table, table_star, K=2.5):
+    """Each batch row gives, with ==, what its single sequence gives alone."""
+    d = fd.forward_map(batch, table)
+    back = fd.inverse_map(d, table)
+    pairs = fd.isomorphism_bound_check(batch, table, table_star, K, d=d, back=back)
+    ulps = fd.roundtrip_ulp_error(batch, table, back=back)
+    direct = fd.duality.direct_forward_norm_sq(batch, table, table_star)
+    norms = fd.norm_sq(batch, table)
+    assert len(pairs) == len(ulps) == len(direct) == len(norms) == len(singles)
+    for row, b in enumerate(singles):
+        assert np.array_equal(batch.re[row], b.re) and np.array_equal(batch.im[row], b.im)
+        assert pairs[row] == fd.isomorphism_bound_check(b, table, table_star, K)
+        assert ulps[row] == fd.roundtrip_ulp_error(b, table)
+        assert direct[row] == fd.duality.direct_forward_norm_sq(b, table, table_star)
+        assert norms[row] == fd.norm_sq(b, table)
+
+
+@pytest.mark.parametrize("weight, degree", [("fock:2", 8), ("power:4:1", 10), ("sep1", 8)])
+def test_batch_rows_equal_successive_single_sequences(weight, degree):
+    w = fd.weight_from_json(SEP1) if weight == "sep1" else fd.parse_preset(weight)
+    table = fd.moment_table(w, degree)
+    table_star = fd.moment_table(fd.dual_weight(w), degree)
+    batch = fd.random_sequence(w.n, degree, np.random.default_rng(3), count=100)
+    rng = np.random.default_rng(3)
+    singles = [fd.random_sequence(w.n, degree, rng) for _ in range(100)]
+    _assert_rows_are_the_singles(batch, singles, table, table_star)
+
+
+def test_batch_rows_with_different_zero_counts(table1, table1_star):
+    # rows with no, some and only zero entries, a purely imaginary entry, and
+    # a modulus whose term underflows to 0.0 (kept, unlike a zero modulus)
+    rng = np.random.default_rng(11)
+    re, im = rng.standard_normal((2, 5, 11))
+    re[1, [0, 3, 4]] = im[1, [0, 3, 4]] = 0.0
+    re[2] = im[2] = 0.0
+    re[3, 1:] = im[3, 1:] = 0.0
+    re[3, 0] = 0.0
+    re[4, 2:9] = im[4, 2:9] = 0.0
+    re[4, 5], im[4, 5] = 1e-200, 0.0
+    batch = fd.CoefficientSequence.dense(1, 10, re, im)
+    singles = [fd.CoefficientSequence.dense(1, 10, re[r].copy(), im[r].copy())
+               for r in range(5)]
+    assert fd.norm_sq(singles[2], table1) == 0.0
+    _assert_rows_are_the_singles(batch, singles, table1, table1_star)
+
+
+def test_norm_past_the_float_range_is_a_value_error(fock1):
+    # ln c_200 = ln(pi 200!) is about 865, so the summed term e^{2 ln|b| + ln c}
+    # overflows: the norm sums are not carried in log space
+    table = fd.moment_table(fock1, 200)
+    b = seq(1, 200, {(200,): 1.0})
+    with pytest.raises(ValueError, match="degree 200 exceeds the float range"):
+        fd.norm_sq(b, table)
+    with pytest.raises(ValueError, match="degree 200 exceeds the float range"):
+        fd.duality.direct_forward_norm_sq(b, table, table)
+    with pytest.raises(ValueError, match="degree 200 exceeds the float range"):
+        fd.isomorphism_bound_check(fd.random_sequence(1, 200, np.random.default_rng(0), 2),
+                                   table, table, 2.0)
