@@ -5,9 +5,13 @@ A continuous functional with Riesz representer sum b_alpha z^alpha has
 transform coefficients d_alpha = c_alpha(phi) conj(b_alpha) / alpha!; the
 inverse recovers g_alpha = conj(d_alpha) alpha! / c_alpha(phi). Bounding
 these maps between the weighted sequence norms is exactly what the
-volume-product condition certifies. The moment tables and the map scales
-c_alpha / alpha! are formed in log space; the norm sums exponentiate each
-term, so a norm whose terms pass the float range raises ValueError.
+volume-product condition certifies. The weight depends only on the moduli,
+so the monomials are orthogonal and the pair is diagonal: its squared
+operator norms are max r_alpha and max 1 / r_alpha, with
+ln r_alpha = ln c_alpha + ln c*_alpha - 2 ln alpha!. The operator bounds
+compare these in log space, from the moment tables alone, at any degree.
+The norms of a given sequence exponentiate each term, so a norm whose
+terms pass the float range raises ValueError.
 
 Every map and norm takes one sequence or a batch of them (`random_sequence`
 with ``count``) and gives one value per sequence.
@@ -164,14 +168,10 @@ def _dense_table(c: CoefficientSequence, table: MomentTable):
     return table.dense_vectors(c.truncation_degree)
 
 
-def _norm_sqs(c: CoefficientSequence, table: MomentTable) -> list[float]:
-    ln_c = _dense_table(c, table)[0]
-    return _exp_sums(c, lambda ln_m, j: 2.0 * ln_m + ln_c[j])
-
-
 def norm_sq(c: CoefficientSequence, table: MomentTable) -> float | list[float]:
     """Squared weighted norm sum |a_alpha|^2 c_alpha (diagonal Gram matrix)."""
-    return _each(c, _norm_sqs(c, table))
+    ln_c = _dense_table(c, table)[0]
+    return _each(c, _exp_sums(c, lambda ln_m, j: 2.0 * ln_m + ln_c[j]))
 
 
 def forward_map(b: CoefficientSequence, table_phi: MomentTable) -> CoefficientSequence:
@@ -271,57 +271,45 @@ def k_condition_scan(phi: WeightFunction, alphas,
     return KConditionReport(products=products, K_hat=k_hat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundReport:
-    lhs: float
-    rhs: float
-    constant_used: float
-    ok: bool
+    """The transform pair's squared operator norms against their bounds, in
+    log space: ``ln_r`` holds ln r_alpha per iter_indices index, and
+    ln ||forward||^2 = max ln r_alpha, ln ||inverse||^2 = max -ln r_alpha."""
+
+    ln_r: np.ndarray
+    ln_m1: float
+    ln_c_inv: float
+    forward_ok: bool
+    inverse_ok: bool
 
 
-_BOUND_TOL = 1e-9
-
-
-def isomorphism_bound_check(b: CoefficientSequence, table_phi: MomentTable,
-                            table_phi_star: MomentTable, K: float,
-                            d: Optional[CoefficientSequence] = None,
-                            back: Optional[CoefficientSequence] = None):
-    """Operator bounds for the transform pair at a certified constant K.
+def isomorphism_bound_check(table_phi: MomentTable, table_phi_star: MomentTable,
+                            K: float) -> BoundReport:
+    """Operator bounds for the transform pair at a certified constant K, up to
+    the degree of the weight's table (the dual weight's must cover it).
 
     Forward: ||forward(b)||^2 (dual weight) <= (2 pi)^n (1 + n!)^2 K ||b||^2.
     Inverse: for G = forward(b), ||inverse(G)||^2 <= K e^2 (2 e pi)^n ||G||^2.
-    ``d`` is forward(b) and ``back`` is inverse(d) when the caller already
-    has them. Returns the (forward, inverse) pair of reports, or for a batch
-    a list of one pair per sequence.
+    Both are decided exactly from r_alpha = c_alpha c*_alpha / alpha!^2, with
+    a relative tolerance of 1e-9.
     """
-    n = b.n
-    m1 = (2.0 * math.pi) ** n * (1.0 + math.factorial(n)) ** 2 * K
-    c_inv = K * math.e**2 * (2.0 * math.e * math.pi) ** n
-    if d is None:
-        d = forward_map(b, table_phi)
-    if back is None:
-        back = inverse_map(d, table_phi)
-    pairs = []
-    for lhs1, norm_b, lhs2 in zip(_norm_sqs(d, table_phi_star), _norm_sqs(b, table_phi),
-                                  _norm_sqs(back, table_phi)):
-        rhs1 = m1 * norm_b
-        rhs2 = c_inv * lhs1  # ||G||^2 in the dual weight's norm
-        pairs.append((
-            BoundReport(lhs=lhs1, rhs=rhs1, constant_used=m1,
-                        ok=lhs1 <= rhs1 * (1.0 + _BOUND_TOL)),
-            BoundReport(lhs=lhs2, rhs=rhs2, constant_used=c_inv,
-                        ok=lhs2 <= rhs2 * (1.0 + _BOUND_TOL)),
-        ))
-    return _each(b, pairs)
+    degree, n = table_phi.max_degree, table_phi.n
+    ln_c, ln_fact, _ = table_phi.dense_vectors(degree)
+    ln_r = ln_c + table_phi_star.dense_vectors(degree)[0] - 2.0 * ln_fact
+    ln_r.flags.writeable = False
+    ln_k = math.log(K)
+    ln_m1 = n * LN_2PI + 2.0 * math.log1p(math.factorial(n)) + ln_k
+    ln_c_inv = ln_k + 2.0 + n * (1.0 + LN_2PI)
+    tol = math.log1p(1e-9)
+    return BoundReport(ln_r=ln_r, ln_m1=ln_m1, ln_c_inv=ln_c_inv,
+                       forward_ok=float(np.max(ln_r)) <= ln_m1 + tol,
+                       inverse_ok=float(np.max(-ln_r)) <= ln_c_inv + tol)
 
 
-def roundtrip_ulp_error(b: CoefficientSequence, table_phi: MomentTable,
-                        back: Optional[CoefficientSequence] = None,
-                        ) -> float | list[float]:
-    """Max per-component ulp distance of inverse(forward(b)) from b;
-    ``back`` is inverse(forward(b)) when the caller already has it."""
-    if back is None:
-        back = inverse_map(forward_map(b, table_phi), table_phi)
+def roundtrip_ulp_error(b: CoefficientSequence, table_phi: MomentTable) -> float | list[float]:
+    """Max per-component ulp distance of inverse(forward(b)) from b."""
+    back = inverse_map(forward_map(b, table_phi), table_phi)
     worst = 0.0
     for rec, ref in ((back.re, b.re), (back.im, b.im)):
         # np.spacing(|x|) is math.ulp(|x|); fmax skips a NaN as max() does

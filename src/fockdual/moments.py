@@ -73,7 +73,7 @@ def index_positions(n: int, max_degree: int) -> Mapping[MultiIndex, int]:
 
 @dataclass(frozen=True)
 class MomentEntry:
-    value: float
+    value: Optional[float]  # None past the float range
     ln_value: float
     rel_error: float
 
@@ -87,7 +87,10 @@ def moment(phi: WeightFunction, alpha: MultiIndex,
     y = 2.0 * np.asarray(alpha.shifted(), dtype=np.float64)
     est = laplace_integral(h, y, cfg)
     ln_value = phi.n * LN_2PI + est.ln_value
-    value = math.exp(ln_value) if ln_value < 709 else math.inf
+    try:
+        value = math.exp(ln_value)
+    except OverflowError:  # past the float range: only the log is kept
+        value = None
     return MomentEntry(value=value, ln_value=ln_value, rel_error=est.rel_error)
 
 
@@ -113,7 +116,8 @@ def fock_oracle(alpha: MultiIndex, n: int) -> FockMoment:
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Moments for all |alpha| <= max_degree, with per-entry error estimates."""
+    """Moments for all |alpha| <= max_degree, with per-entry error estimates.
+    A value past the float range is None (an empty CSV cell, JSON null)."""
 
     phi_label: str
     n: int
@@ -126,8 +130,8 @@ class MomentTable:
             if alpha not in self.entries:
                 raise ValueError(f"table missing {alpha.components}")
         for alpha, e in self.entries.items():
-            if not e.value > 0:
-                raise ValueError(f"moment at {alpha.components} must be positive")
+            if not (e.value is None or 0 < e.value < math.inf):
+                raise ValueError(f"moment at {alpha.components} must be positive and finite")
 
     def entry(self, alpha: MultiIndex) -> MomentEntry:
         try:
@@ -186,7 +190,7 @@ class MomentTable:
                 alpha = MultiIndex(tuple(int(v) for v in row[:n]))
                 best_degree = max(best_degree, alpha.degree)
                 entries[alpha] = MomentEntry(
-                    value=float(row[n]),
+                    value=float(row[n]) if row[n] else None,
                     ln_value=float(row[n + 1]),
                     rel_error=float(row[n + 2]),
                 )

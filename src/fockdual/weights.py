@@ -1,10 +1,10 @@
 """Weight functions: a validated catalog plus JSON-specified sums of powers.
 
 A weight is a convex function of the coordinate moduli, nondecreasing on
-[0, inf)^n and superlinear at infinity. Class membership is certified by
-sampling (midpoint convexity, axis monotonicity, two-radius growth), not by
-proof; user-supplied weights are restricted to positive combinations of
-power terms so they are convex by construction.
+[0, inf)^n and superlinear at infinity. Catalog and JSON weights are
+positive combinations of power terms with p > 1, so they are in the class
+by construction; a weight given only by an evaluator is certified by
+sampling (symmetry, axis monotonicity, two-radius growth), not by proof.
 """
 
 from __future__ import annotations
@@ -245,11 +245,12 @@ def parse_preset(name: str) -> WeightFunction:
     raise WeightSpecError(f"unknown preset {name!r}")
 
 
-# sampling plan of validate_class_V: the box [0, _BOX_RADIUS]^n gridded with
-# _POINTS_PER_AXIS (>= 3) nodes per axis; growth probed on two spheres of
-# radii R1 < R2 along the axes and _N_DIRECTIONS random directions, relative
-# to R1 (the class is closed under positive scaling): c r^p / p grows by
-# 2^(p-1) - 1 for every c, so the margin accepts p >= 1 + log2(1.1875) = 1.248
+# sampling plan of validate_class_V for an evaluator-only weight: the box
+# [0, _BOX_RADIUS]^n gridded with _POINTS_PER_AXIS (>= 3) nodes per axis;
+# growth probed on two spheres of radii R1 < R2 along the axes and
+# _N_DIRECTIONS random directions, relative to R1 (the class is closed under
+# positive scaling): c r^p / p grows by 2^(p-1) - 1 for every c, so the
+# margin accepts p >= 1 + log2(1.1875) = 1.248
 _BOX_RADIUS = 8.0
 _POINTS_PER_AXIS = 5
 _RADII = (8.0, 16.0)
@@ -267,20 +268,16 @@ class ClassVReport:
     worst_violation: float
 
 
-def _unit_directions(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    dirs = [np.eye(n)[j] for j in range(n)]
-    if n > 1:
-        extra = np.abs(rng.standard_normal((count, n)))
-        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-        dirs.extend(extra)
-    return np.array(dirs)
-
-
 def validate_class_V(phi: WeightFunction) -> ClassVReport:
-    """Certify (by sampling) symmetry, axis monotonicity and superlinear growth.
+    """Certify symmetry, axis monotonicity and superlinear growth.
 
-    Failures never raise; they are carried in the report flags.
+    A weight with terms passes without a sample: a positive sum of power
+    terms with p > 1 is even, monotone and superlinear by construction. A
+    weight given only by an evaluator is sampled. Failures never raise;
+    they are carried in the report flags.
     """
+    if phi.terms is not None:
+        return ClassVReport(True, True, True, 0.0)
     rng = np.random.default_rng(_SEED)
     n = phi.n
     axis = np.linspace(0.0, _BOX_RADIUS, _POINTS_PER_AXIS)
@@ -305,7 +302,10 @@ def validate_class_V(phi: WeightFunction) -> ClassVReport:
 
     # superlinearity: min over directions of g(R d)/R, positive at R1, must
     # grow from there by the margin relative to its value at R1
-    dirs = _unit_directions(n, _N_DIRECTIONS, rng)
+    dirs = np.eye(n)
+    if n > 1:
+        extra = np.abs(rng.standard_normal((_N_DIRECTIONS, n)))
+        dirs = np.vstack([dirs, extra / np.linalg.norm(extra, axis=1, keepdims=True)])
     r1, r2 = _RADII
     ratio1 = float(np.min(phi.eval(dirs * r1) / r1))
     ratio2 = float(np.min(phi.eval(dirs * r2) / r2))

@@ -125,9 +125,9 @@ def duality_oracle():
 
 
 def _fenchel_young_loop(f, conj, seed):
-    """The conjugate suite's 200 Fenchel-Young probes one at a time: per probe
-    one primal, then one dual, index draw per axis and x @ xi on 1-D arrays.
-    The oracle the batched probes are compared against bit for bit."""
+    """200 seeded Fenchel-Young probes one at a time: per probe one primal,
+    then one dual, index draw per axis and x @ xi on 1-D arrays. The sampled
+    check that the conjugate suite's all-pairs worst gap must bound."""
     rng = np.random.default_rng(seed)
     primal_nodes = [a.nodes() for a in f.axes]
     dual_nodes = [a.nodes() for a in conj.axes]
@@ -144,6 +144,21 @@ def _fenchel_young_loop(f, conj, seed):
 @pytest.fixture(scope="session")
 def fenchel_young_loop():
     return _fenchel_young_loop
+
+
+def _ln_power_moment(a, p):
+    """ln c_a of one axis of the weight x^p / p: with x = 2a + 2,
+    c_a = 2 pi int_0^inf r^{2a+1} e^{-2 r^p / p} dr
+        = (2 pi / p) (p/2)^{x/p} Gamma(x/p),
+    the Gamma integral after the substitution u = 2 r^p / p."""
+    x = 2.0 * a + 2.0
+    return math.log(2.0 * math.pi / p) + (x / p) * math.log(p / 2.0) + math.lgamma(x / p)
+
+
+@pytest.fixture(scope="session")
+def ln_power_moment():
+    """The closed-form per-axis moment of one power term (`_ln_power_moment`)."""
+    return _ln_power_moment
 
 
 @pytest.fixture(scope="session")

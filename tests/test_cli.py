@@ -3,6 +3,10 @@
 import csv
 import filecmp
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +16,8 @@ import fockdual as fd
 from fockdual import cli, fenchel, laplace
 from fockdual.config import CONJ_STEP, by_dim
 from fockdual.fenchel import GridAxis, SampledFunction
+
+SEP1 = Path(__file__).resolve().parents[1] / "fdbench" / "weights" / "sep1.json"
 
 
 def run_cli(args):
@@ -210,11 +216,10 @@ def test_identities_nonconvex_expected_fail(tmp_path, nonconvex_double):
 
 def test_refine_refines_a_numeric_dual(tmp_path):
     # sep1 has no closed-form dual; its numeric dual samples at the refined step
-    sep1 = Path(__file__).resolve().parents[1] / "fdbench" / "weights" / "sep1.json"
-    nodes, _, _ = fenchel._NumericDual(fd.weight_from_json(sep1),
+    nodes, _, _ = fenchel._NumericDual(fd.weight_from_json(SEP1),
                                        fd.DEFAULT.refined())._table(2.0)
     assert nodes[1] - nodes[0] <= by_dim(CONJ_STEP, 1) / 2
-    assert run_cli(["identities", "--weight", str(sep1), "--refine",
+    assert run_cli(["identities", "--weight", str(SEP1), "--refine",
                     "--out", str(tmp_path)]) == 0
     assert "refine_shrink,true" in (tmp_path / "identities_checks.csv").read_text()
 
@@ -246,37 +251,93 @@ def _calls_to(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ["forward_map", "inverse_map", "isomorphism_bound_check"])
-def test_duality_maps_the_batch_of_sequences_once(tmp_path, monkeypatch, name):
-    # the 100 random sequences are one (100, N) batch: each map and the bound
-    # check run once on it, so no sequence is mapped twice
+def test_all_calls_each_map_and_the_bound_check_once(tmp_path, monkeypatch, name):
+    # nothing is sampled: the bounds are decided from the two tables in one
+    # call, and the round trip maps one dense sequence, every index nonzero
     calls = _calls_to(monkeypatch, name)
-    assert run_cli(["duality", "--weight-preset", "fock:1", "--degree", "2",
+    assert run_cli(["all", "--weight-preset", "fock:1", "--degree", "2",
                     "--out", str(tmp_path)]) == 0
-    assert len(calls) == 1 and calls[0].re.shape == (100, 3)
-    assert len(np.unique(calls[0].re, axis=0)) == 100
+    assert len(calls) == 1
+    if name == "isomorphism_bound_check":
+        assert isinstance(calls[0], fd.MomentTable) and calls[0].max_degree == 2
+    else:
+        assert calls[0].re.shape == (3,) and np.all(calls[0].re != 0)
 
 
-def test_norm_past_the_float_range_exits_3(tmp_path, capsys):
-    # the norm sums exponentiate each term: fock:1 at degree 175 passes e^709
-    assert run_cli(["duality", "--weight-preset", "fock:1", "--degree", "175",
-                    "--out", str(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "degree 175 exceeds the float range" in err
-    assert "Traceback" not in err
+def _report_cells(path: Path) -> dict:
+    with path.open(newline="", encoding="utf-8") as fh:
+        return {row[0]: row[1:] for row in csv.reader(fh)}
+
+
+def test_norm_past_the_float_range_decides(tmp_path, capsys):
+    # ln r_alpha = ln c + ln c* - 2 ln alpha! stays finite where the norms of
+    # fock:1 at degree 200 pass e^709, so the bounds decide. The Stirling
+    # envelope fails at this degree (its margin meets the sup error): exit 1
+    code = run_cli(["duality", "--weight-preset", "fock:1", "--degree", "200",
+                    "--out", str(tmp_path)])
+    assert code in (0, 1)
+    assert capsys.readouterr().err == ""
+    bounds = _report_cells(tmp_path / "duality_bounds.csv")
+    assert bounds.pop("alpha_1") == ["ln_r"] and len(bounds) == 201
+    assert all(math.isfinite(float(ln_r)) for ln_r, in bounds.values())
+    checks = _report_cells(tmp_path / "duality_checks.csv")
+    assert checks["bounds_forward"][0] == checks["bounds_inverse"][0] == "true"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_fenchel_young_probes_match_the_scalar_loop(n, fenchel_young_loop):
+def test_fenchel_young_all_pairs_bound_the_sampled_probes(n, fenchel_young_loop,
+                                                          conjugate_bruteforce):
     # the conjugate suite's grid sizes; a dual step that is not a binary
-    # fraction, so that each x . xi rounds
+    # fraction, so that each x . xi rounds. The worst gap over every pair is
+    # the brute-force conjugate's excess over the grid conjugate, and no
+    # seeded probe exceeds it (up to the rounding of a per-axis sum)
     counts, dual_counts = {1: (321, 257), 2: (97, 65), 3: (25, 17)}[n]
     primal = tuple(GridAxis(-6.0, 6.0, counts) for _ in range(n))
-    f = SampledFunction(primal, fenchel.symmetrized_fn(fd.make_separable_power(n, 3.0))
-                        .on_axes([a.nodes() for a in primal]))
-    conj = fenchel.conjugate_nd(f, [GridAxis(-7.3, 7.3, dual_counts)] * n)
-    for seed in range(5):
-        assert cli._fenchel_young_gaps(f, conj, seed).tolist() == \
-            fenchel_young_loop(f, conj, seed)
+    nodes = [a.nodes() for a in primal]
+    sym = fenchel.symmetrized_fn(fd.make_separable_power(n, 3.0))
+    for f in (SampledFunction(primal, sym.on_axes(nodes)),
+              SampledFunction.separable(primal, [p(a) for p, a in zip(sym.axis_profiles, nodes)])):
+        conj = fenchel.conjugate_nd(f, [GridAxis(-7.3, 7.3, dual_counts)] * n)
+        worst = cli._fenchel_young_gap(f, conj)
+        brute = np.max(conjugate_bruteforce(f, conj.axes) - conj.values)
+        assert worst == pytest.approx(brute, rel=0, abs=1e-12)
+        assert abs(worst) <= 1e-10
+        # a conjugate too low by delta_j on axis j raises every gap by their sum
+        delta = [0.1 * (j + 1) for j in range(n)]
+        low = (SampledFunction(conj.axes, conj.values - sum(delta)) if f.parts is None else
+               SampledFunction.separable(conj.axes, [c - d for c, d in zip(conj.parts, delta)]))
+        assert cli._fenchel_young_gap(f, low) == pytest.approx(worst + sum(delta), abs=1e-12)
+        for seed in range(5):
+            assert worst >= max(fenchel_young_loop(f, conj, seed)) - 1e-12
+
+
+def test_all_never_imports_numpy_random(tmp_path):
+    # every check of `all` is exact for a weight with terms at n <= 3, so no
+    # suite draws and numpy.random (eleven extension modules) never loads.
+    # numpy 2 loads it lazily, on first use; numpy 1.x loads it with itself,
+    # so the run is held to the modules `import numpy` loaded (none on 2.x)
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('numpy.random'))\n"
+        "print(loaded())\n"
+        "from fockdual import cli\n"
+        "for i, weight in enumerate(sys.argv[2:]):\n"
+        "    option = '--weight' if weight.endswith('.json') else '--weight-preset'\n"
+        "    code = cli.main(['all', option, weight, '--degree', '2',\n"
+        "                     '--out', f'{sys.argv[1]}/{i}'])\n"
+        "    assert code == 0, weight\n"
+        "print(loaded())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), "fock:2",
+                           str(SEP1), "power:3:2"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == lines[0], proc.stdout
 
 
 def test_json_format(tmp_path):
@@ -335,16 +396,15 @@ def test_all_deterministic(tmp_path, monkeypatch):
     assert (out_a / "summary.csv").exists()
 
 
-def test_seed_changes_sequences_not_verdicts(tmp_path):
-    out_a = tmp_path / "s0"
-    out_b = tmp_path / "s1"
-    assert run_cli(["duality", "--weight-preset", "fock:1", "--degree", "5",
-                    "--seed", "0", "--out", str(out_a)]) == 0
-    assert run_cli(["duality", "--weight-preset", "fock:1", "--degree", "5",
-                    "--seed", "1", "--out", str(out_b)]) == 0
-    # K_hat is deterministic: the scan file is identical across seeds
-    assert (out_a / "duality_kscan.csv").read_text() == \
-        (out_b / "duality_kscan.csv").read_text()
-    # the random-sequence bound table differs
-    assert (out_a / "duality_bounds.csv").read_text() != \
-        (out_b / "duality_bounds.csv").read_text()
+def test_seed_changes_no_report(tmp_path, monkeypatch):
+    # no check draws: every report of `all` is byte-identical across seeds;
+    # --seed stays an option for the callers that pass it
+    outs = [tmp_path / "s0", tmp_path / "s1"]
+    for seed, out in enumerate(outs):
+        monkeypatch.setattr(fenchel, "_MEMO", {})
+        assert run_cli(["all", "--weight-preset", "fock:2", "--degree", "4",
+                        "--seed", str(seed), "--out", str(out)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert len(names) == 16 and names == sorted(p.name for p in outs[1].iterdir())
+    match, mismatch, errors = filecmp.cmpfiles(*outs, names, shallow=False)
+    assert not mismatch and not errors

@@ -14,6 +14,8 @@ from scipy.optimize import brentq
 import fockdual as fd
 from fockdual.moments import MultiIndex, iter_indices
 
+SEP1 = Path(__file__).resolve().parents[1] / "fdbench" / "weights" / "sep1.json"
+
 
 @pytest.fixture(scope="module")
 def table1(fock1):
@@ -189,31 +191,60 @@ def test_k_scan_rejects_zero_component(fock2):
 
 def test_isomorphism_bounds(fock1, table1, table1_star):
     K = 2.24
-    b0 = seq(1, 10, {(0,): 1.0})
-    r1, r2 = fd.isomorphism_bound_check(b0, table1, table1_star, K)
-    assert r1.ok and r2.ok
-    # for the quadratic weight the tables coincide and the forward norm is
-    # pi^2 times the input norm
-    assert r1.lhs == pytest.approx(math.pi**2 * math.pi, rel=1e-9)
-    assert r1.rhs == pytest.approx(2 * math.pi * 4 * K * math.pi, rel=1e-12)
-    assert r1.constant_used == pytest.approx(2 * math.pi * 4 * K)
-    assert r2.constant_used == pytest.approx(K * math.e**2 * 2 * math.e * math.pi)
-    zero = seq(1, 10, {})
-    z1, z2 = fd.isomorphism_bound_check(zero, table1, table1_star, K)
-    assert z1.ok and z1.lhs == 0.0 and z1.rhs == 0.0
-    assert z2.ok
+    rep = fd.isomorphism_bound_check(table1, table1_star, K)
+    assert rep.forward_ok and rep.inverse_ok
+    # for the quadratic weight the tables coincide and r_alpha = pi^2 at every
+    # index: the forward map scales every norm by pi^2
+    assert len(rep.ln_r) == 11
+    np.testing.assert_allclose(rep.ln_r, 2 * math.log(math.pi), rtol=0, atol=1e-9)
+    assert rep.ln_m1 == pytest.approx(math.log(2 * math.pi * 4 * K), rel=1e-15)
+    assert rep.ln_c_inv == pytest.approx(math.log(K * math.e**2 * 2 * math.e * math.pi),
+                                         rel=1e-15)
+    # a constant below pi^2 / (2 pi * 4) fails the forward bound, and one
+    # below 1 / (pi^2 e^2 2 e pi) the inverse bound
+    assert not fd.isomorphism_bound_check(table1, table1_star, 0.3).forward_ok
+    assert not fd.isomorphism_bound_check(table1, table1_star, 5e-5).inverse_ok
+    # the dual weight's table must cover the weight's
+    with pytest.raises(KeyError):
+        fd.isomorphism_bound_check(table1, fd.moment_table(fock1, 9), K)
 
 
-def test_bounds_hold_on_random_sequences(fock1, table1, table1_star):
-    rng = np.random.default_rng(0)
-    K = 2.24
-    lower = 1.0 / (K * math.e**2 * (2 * math.e * math.pi))
-    for _ in range(100):
-        b = fd.random_sequence(1, 10, rng)
-        r1, r2 = fd.isomorphism_bound_check(b, table1, table1_star, K)
-        assert r1.ok and r2.ok
-        ratio = r1.lhs / fd.norm_sq(b, table1)
-        assert ratio >= lower * (1 - 1e-9)
+def test_bounds_hold_on_random_sequences():
+    # the sampled check the exact one replaced, kept as its oracle: each
+    # sequence's forward ratio ||forward(b)||^2 / ||b||^2 is a weighted mean
+    # of r_alpha, so no ratio exceeds max r_alpha (the forward norm) and no
+    # inverse ratio, its reciprocal, exceeds max 1 / r_alpha (the inverse norm)
+    for weight, degree in (("fock:1", 10), ("power:4:1", 10), ("power:3:2", 8), ("sep1", 8)):
+        w = fd.weight_from_json(SEP1) if weight == "sep1" else fd.parse_preset(weight)
+        table = fd.moment_table(w, degree)
+        table_star = fd.moment_table(fd.dual_weight(w), degree)
+        rep = fd.isomorphism_bound_check(table, table_star, 2.24)
+        assert rep.forward_ok and rep.inverse_ok, weight
+        b = fd.random_sequence(w.n, degree, np.random.default_rng(0), count=100)
+        d = fd.forward_map(b, table)
+        ln_ratio = np.log(fd.norm_sq(d, table_star)) - np.log(fd.norm_sq(b, table))
+        assert np.all(ln_ratio <= np.max(rep.ln_r) + 1e-12), weight
+        assert np.all(-ln_ratio <= np.max(-rep.ln_r) + 1e-12), weight
+        # inverse(forward(b)) is b: the inverse ratio is the reciprocal
+        back = fd.inverse_map(d, table)
+        ln_back = np.log(fd.norm_sq(back, table)) - np.log(fd.norm_sq(d, table_star))
+        np.testing.assert_allclose(ln_back, -ln_ratio, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("preset, p", [("power:4:1", 4.0), ("power:3:2", 3.0),
+                                       ("power:1.5:1", 1.5), ("fock:1", 2.0),
+                                       ("fock:2", 2.0)])
+def test_ln_r_matches_the_gamma_oracle(preset, p, ln_power_moment):
+    # one power term per axis: c_a = (2 pi / p) (p/2)^{x/p} Gamma(x/p) with
+    # x = 2a + 2 for x^p / p, and the same with q for its dual y^q / q
+    q = p / (p - 1.0)
+    w = fd.parse_preset(preset)
+    table = fd.moment_table(w, 30)
+    table_star = fd.moment_table(fd.dual_weight(w), 30)
+    rep = fd.isomorphism_bound_check(table, table_star, 2.0)
+    want = [sum(ln_power_moment(a, p) + ln_power_moment(a, q) - 2.0 * math.lgamma(a + 1)
+                for a in alpha.components) for alpha in iter_indices(w.n, 30)]
+    np.testing.assert_allclose(rep.ln_r, want, rtol=0, atol=1e-12)
 
 
 def test_norm_identity_two_evaluation_orders(fock1, table1, table1_star):
@@ -279,21 +310,21 @@ def test_dense_maps_match_per_index_formulas_exactly(duality_oracle, request, we
                 == oracle.direct_norm(items, table, table_star))
 
 
-SEP1 = Path(__file__).resolve().parents[1] / "fdbench" / "weights" / "sep1.json"
-
-
-def _assert_rows_are_the_singles(batch, singles, table, table_star, K=2.5):
+def _assert_rows_are_the_singles(batch, singles, table, table_star):
     """Each batch row gives, with ==, what its single sequence gives alone."""
     d = fd.forward_map(batch, table)
     back = fd.inverse_map(d, table)
-    pairs = fd.isomorphism_bound_check(batch, table, table_star, K, d=d, back=back)
-    ulps = fd.roundtrip_ulp_error(batch, table, back=back)
+    forward_norms = fd.norm_sq(d, table_star)
+    ulps = fd.roundtrip_ulp_error(batch, table)
     direct = fd.duality.direct_forward_norm_sq(batch, table, table_star)
     norms = fd.norm_sq(batch, table)
-    assert len(pairs) == len(ulps) == len(direct) == len(norms) == len(singles)
+    assert len(forward_norms) == len(ulps) == len(direct) == len(norms) == len(singles)
     for row, b in enumerate(singles):
         assert np.array_equal(batch.re[row], b.re) and np.array_equal(batch.im[row], b.im)
-        assert pairs[row] == fd.isomorphism_bound_check(b, table, table_star, K)
+        single_d = fd.forward_map(b, table)
+        assert forward_norms[row] == fd.norm_sq(single_d, table_star)
+        back_row = fd.inverse_map(single_d, table)
+        assert np.array_equal(back.re[row], back_row.re) and np.array_equal(back.im[row], back_row.im)
         assert ulps[row] == fd.roundtrip_ulp_error(b, table)
         assert direct[row] == fd.duality.direct_forward_norm_sq(b, table, table_star)
         assert norms[row] == fd.norm_sq(b, table)
@@ -330,13 +361,14 @@ def test_batch_rows_with_different_zero_counts(table1, table1_star):
 
 def test_norm_past_the_float_range_is_a_value_error(fock1):
     # ln c_200 = ln(pi 200!) is about 865, so the summed term e^{2 ln|b| + ln c}
-    # overflows: the norm sums are not carried in log space
+    # overflows: the norm sums of a sequence are not carried in log space
     table = fd.moment_table(fock1, 200)
     b = seq(1, 200, {(200,): 1.0})
     with pytest.raises(ValueError, match="degree 200 exceeds the float range"):
         fd.norm_sq(b, table)
     with pytest.raises(ValueError, match="degree 200 exceeds the float range"):
         fd.duality.direct_forward_norm_sq(b, table, table)
-    with pytest.raises(ValueError, match="degree 200 exceeds the float range"):
-        fd.isomorphism_bound_check(fd.random_sequence(1, 200, np.random.default_rng(0), 2),
-                                   table, table, 2.0)
+    # the operator bounds are: they decide at this degree, from ln r_alpha
+    rep = fd.isomorphism_bound_check(table, table, 2.0)
+    assert len(rep.ln_r) == 201 and np.all(np.isfinite(rep.ln_r))
+    assert rep.forward_ok and rep.inverse_ok

@@ -1,6 +1,7 @@
 """Moment integrals against the closed-form oracle, the two bound lemmas,
 and table serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -160,3 +161,41 @@ def test_moments_in_log_space_for_large_degree(fock1):
     m = fd.moment(fock1, alpha)
     oracle = fd.fock_oracle(alpha, 1)
     assert m.ln_value == pytest.approx(oracle.ln_value, abs=1e-9)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+def test_moment_table_rejects_a_value_that_is_not_positive_and_finite(value):
+    entry = fd.MomentEntry(value=value, ln_value=800.0, rel_error=0.0)
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        fd.MomentTable(phi_label="x", n=1, max_degree=0, entries={MultiIndex((0,)): entry})
+    # past the float range a moment has no value, only its log
+    absent = fd.MomentEntry(value=None, ln_value=800.0, rel_error=0.0)
+    fd.MomentTable(phi_label="x", n=1, max_degree=0, entries={MultiIndex((0,)): absent})
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_moments_past_the_float_range_have_no_value(tmp_path, fmt):
+    # c_a = pi a! passes the float range from a = 171 on: the value is left
+    # out there (an empty CSV cell, a JSON null) and ln_value carries it
+    assert cli.main(["moments", "--weight-preset", "fock:1", "--degree", "175",
+                     "--format", fmt, "--out", str(tmp_path)]) == 0
+    path = tmp_path / f"moments_table.{fmt}"
+    if fmt == "csv":
+        text = path.read_text(encoding="utf-8")
+        assert "inf" not in text and text.count(",,") == 5
+        table = fd.MomentTable.from_csv(path)
+    else:
+        for report in tmp_path.glob("*.json"):
+            json.loads(report.read_text(encoding="utf-8"), parse_constant=_no_constant)
+        table = fd.MomentTable.from_json(path)
+    absent = [a.components[0] for a in iter_indices(1, 175) if table.entry(a).value is None]
+    assert absent == [171, 172, 173, 174, 175]
+    assert table.entry(MultiIndex((170,))).value == pytest.approx(
+        math.pi * math.factorial(170), rel=1e-9)
+    for a in absent:
+        assert table.ln(MultiIndex((a,))) == pytest.approx(
+            math.log(math.pi) + math.lgamma(a + 1), rel=1e-12)

@@ -1,5 +1,6 @@
 """Catalog weights, class membership validation, and the JSON spec form."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -50,6 +51,24 @@ def test_validate_catalog_all_true(fock2, power4):
         rep = fd.validate_class_V(w)
         assert rep.symmetric_ok and rep.monotone_ok and rep.superlinear_ok
         assert rep.worst_violation <= 1e-9
+
+
+def test_validate_term_weight_makes_no_evaluator_call(fock2, power4):
+    # a weight with terms is in the class by construction: nothing is sampled
+    calls = []
+
+    def counting(w):
+        return lambda x: calls.append(np.shape(x)) or w.eval(x)
+
+    mixed = fd.weight_from_json({"n": 3, "terms": [{"type": "power", "p": 1.1, "coef": 1e-3},
+                                                   {"type": "radial_power", "p": 3, "coef": 2}]})
+    for w in (fock2, power4, mixed):
+        rep = fd.validate_class_V(dataclasses.replace(w, eval=counting(w)))
+        assert rep == fd.ClassVReport(True, True, True, 0.0)
+    assert calls == []
+    # the same evaluator without its terms is sampled, and passes
+    rep = fd.validate_class_V(dataclasses.replace(fock2, eval=counting(fock2), terms=None))
+    assert calls and rep.superlinear_ok and rep.worst_violation <= 1e-9
 
 
 def test_validate_linear_growth_fails_superlinearity(linear_growth_double):
