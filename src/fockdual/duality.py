@@ -174,17 +174,24 @@ def norm_sq(c: CoefficientSequence, table: MomentTable) -> float | list[float]:
     return _each(c, _exp_sums(c, lambda ln_m, j: 2.0 * ln_m + ln_c[j]))
 
 
+def _conj_scaled(c: CoefficientSequence, scale: np.ndarray, op) -> CoefficientSequence:
+    """conj(c_alpha) op scale_alpha on the present entries; an absent entry
+    stays zero whatever its scale (0, or inf past the float range)."""
+    re, im = c.re.copy(), -c.im
+    op(re, scale, out=re, where=c.re != 0)
+    op(im, scale, out=im, where=c.im != 0)
+    return CoefficientSequence.dense(c.n, c.truncation_degree, re, im)
+
+
 def forward_map(b: CoefficientSequence, table_phi: MomentTable) -> CoefficientSequence:
     """Transform coefficients d_alpha = c_alpha conj(b_alpha) / alpha!."""
-    scale = _dense_table(b, table_phi)[2]
-    return CoefficientSequence.dense(b.n, b.truncation_degree, b.re * scale, -b.im * scale)
+    return _conj_scaled(b, _dense_table(b, table_phi)[2], np.multiply)
 
 
 def inverse_map(d: CoefficientSequence, table_phi: MomentTable) -> CoefficientSequence:
     """Inverse g_alpha = conj(d_alpha) alpha! / c_alpha; dividing by the same
     stored scale makes inverse_map(forward_map(b)) exact to rounding."""
-    scale = _dense_table(d, table_phi)[2]
-    return CoefficientSequence.dense(d.n, d.truncation_degree, d.re / scale, -d.im / scale)
+    return _conj_scaled(d, _dense_table(d, table_phi)[2], np.divide)
 
 
 def direct_forward_norm_sq(b: CoefficientSequence, table_phi: MomentTable,

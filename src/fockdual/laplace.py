@@ -240,9 +240,17 @@ def _monte_carlo_volume(spec: SublevelSpec, lo: np.ndarray, hi: np.ndarray,
     return VolumeEstimate(value=p_hat * box_vol, half_width=half * box_vol)
 
 
+def exp_in_range(ln_value: float) -> Optional[float]:
+    """e^ln_value, or None past the float range, where only the log is kept."""
+    try:
+        return math.exp(ln_value)
+    except OverflowError:
+        return None
+
+
 @dataclass(frozen=True)
 class IntegralEstimate:
-    value: float
+    value: Optional[float]  # None past the float range
     ln_value: float
     rel_error: float
 
@@ -351,13 +359,13 @@ def _laplace_integral(h: GridFn, y: np.ndarray, cfg: NumericsConfig,
         raise DivergenceError("integrand underflowed to zero on the whole box")
     rel = abs(fine - coarse) / fine + math.exp(-DECAY_BUDGET)
     ln_value = float(peak + math.log(fine))
-    value = math.exp(ln_value) if ln_value < 709 else math.inf
-    return IntegralEstimate(value=value, ln_value=ln_value, rel_error=float(rel))
+    return IntegralEstimate(value=exp_in_range(ln_value), ln_value=ln_value,
+                            rel_error=float(rel))
 
 
 @dataclass(frozen=True)
 class SandwichReport:
-    integral: float
+    integral: Optional[float]  # None past the float range
     volume: VolumeEstimate
     hstar_y: float
     ratio: float

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT, NumericsConfig
 from .fenchel import log_image, scale_fn, truncated_sup
-from .laplace import laplace_integral, make_sublevel_spec, sublevel_volume
+from .laplace import exp_in_range, laplace_integral, make_sublevel_spec, sublevel_volume
 from .weights import WeightFunction
 
 LN_2PI = math.log(2.0 * math.pi)
@@ -87,16 +87,13 @@ def moment(phi: WeightFunction, alpha: MultiIndex,
     y = 2.0 * np.asarray(alpha.shifted(), dtype=np.float64)
     est = laplace_integral(h, y, cfg)
     ln_value = phi.n * LN_2PI + est.ln_value
-    try:
-        value = math.exp(ln_value)
-    except OverflowError:  # past the float range: only the log is kept
-        value = None
-    return MomentEntry(value=value, ln_value=ln_value, rel_error=est.rel_error)
+    return MomentEntry(value=exp_in_range(ln_value), ln_value=ln_value,
+                       rel_error=est.rel_error)
 
 
 @dataclass(frozen=True)
 class FockMoment:
-    value: float
+    value: Optional[float]  # None past the float range
     ln_value: float
 
 
@@ -110,8 +107,7 @@ def fock_oracle(alpha: MultiIndex, n: int) -> FockMoment:
     if alpha.n != n:
         raise ValueError("multi-index dimension mismatch")
     ln_value = n * math.log(math.pi) + alpha.log_factorial()
-    value = math.exp(ln_value) if ln_value < 709 else math.inf
-    return FockMoment(value=value, ln_value=ln_value)
+    return FockMoment(value=exp_in_range(ln_value), ln_value=ln_value)
 
 
 @dataclass(frozen=True)
@@ -145,12 +141,14 @@ class MomentTable:
     def dense_vectors(self, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ln c_alpha, ln alpha!, c_alpha / alpha!) over iter_indices(n, degree),
         computed once per degree. The scale is math.exp(ln c_alpha - ln alpha!)
-        entry by entry: np.exp does not always round the same way."""
+        entry by entry (np.exp does not always round the same way), and inf
+        past the float range, where only the logs are kept."""
         if degree not in self._dense:
             alphas = index_positions(self.n, degree)
             ln_c = [self.ln(a) for a in alphas]
             ln_fact = [a.log_factorial() for a in alphas]
-            scale = [math.exp(c - f) for c, f in zip(ln_c, ln_fact)]
+            scale = [math.inf if s is None else s
+                     for s in (exp_in_range(c - f) for c, f in zip(ln_c, ln_fact))]
             self._dense[degree] = tuple(np.array(v) for v in (ln_c, ln_fact, scale))
         return self._dense[degree]
 

@@ -2,6 +2,7 @@
 
 import csv
 import filecmp
+import gc
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import fockdual as fd
-from fockdual import cli, fenchel, laplace
+from fockdual import cli, fenchel, laplace, moments
 from fockdual.config import CONJ_STEP, by_dim
 from fockdual.fenchel import GridAxis, SampledFunction
 
@@ -22,6 +23,13 @@ SEP1 = Path(__file__).resolve().parents[1] / "fdbench" / "weights" / "sep1.json"
 
 def run_cli(args):
     return cli.main(args)
+
+
+def _src_env() -> dict:
+    """This environment with the package's source tree first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 
 
 def test_conjugate_fock_passes(tmp_path):
@@ -116,6 +124,17 @@ def test_numeric_failure_exits_3(tmp_path, capsys):
     assert run_cli(["identities", "--weight", str(spec),
                     "--out", str(tmp_path / "out")]) == 3
     assert "objective does not decay" in capsys.readouterr().err
+
+
+def test_float_overflow_exits_3(tmp_path, capsys, monkeypatch):
+    # an overflow is a numeric failure (3), never "a check failed" (1)
+    def overflow(*args, **kw):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(moments, "moment_table", overflow)
+    assert run_cli(["moments", "--weight-preset", "fock:1",
+                    "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "error: math range error\n"
 
 
 def test_radial_p2_weight_reports_as_fock2(tmp_path):
@@ -284,6 +303,23 @@ def test_norm_past_the_float_range_decides(tmp_path, capsys):
     assert checks["bounds_forward"][0] == checks["bounds_inverse"][0] == "true"
 
 
+@pytest.mark.parametrize("preset", ["power:1.5:1", "power:3:1"])
+def test_map_scale_past_the_float_range_decides(tmp_path, capsys, preset):
+    # at degree 460 c_alpha / alpha! passes the float range on 40 indices:
+    # upward on power:1.5:1 (and on the dual table of power:3:1), downward on
+    # power:3:1. The bounds decide from the logs; the round trip and the
+    # second formula of ln r_alpha run on the rest and name what they skip
+    code = run_cli(["duality", "--weight-preset", preset, "--degree", "460",
+                    "--out", str(tmp_path)])
+    assert code in (0, 1)
+    assert capsys.readouterr().err == ""
+    checks = _report_cells(tmp_path / "duality_checks.csv")
+    assert checks["bounds_forward"][0] == checks["bounds_inverse"][0] == "true"
+    for check_id in ("roundtrip_ulp", "norm_identity_consistency"):
+        assert checks[check_id][0] == "true"
+        assert checks[check_id][1].endswith(", skipped=40 indices past the float range")
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fenchel_young_all_pairs_bound_the_sampled_probes(n, fenchel_young_loop,
                                                           conjugate_bruteforce):
@@ -329,12 +365,9 @@ def test_all_never_imports_numpy_random(tmp_path):
         "    assert code == 0, weight\n"
         "print(loaded())\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), "fock:2",
                            str(SEP1), "power:3:2"],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=_src_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[-1] == lines[0], proc.stdout
@@ -407,4 +440,39 @@ def test_seed_changes_no_report(tmp_path, monkeypatch):
     names = sorted(p.name for p in outs[0].iterdir())
     assert len(names) == 16 and names == sorted(p.name for p in outs[1].iterdir())
     match, mismatch, errors = filecmp.cmpfiles(*outs, names, shallow=False)
+    assert not mismatch and not errors
+
+
+def test_exit_hook_leaves_an_in_process_caller_unfrozen(tmp_path):
+    # the heap is frozen by an exit hook, never by main() itself
+    assert run_cli(["all", "--weight-preset", "fock:1", "--degree", "2",
+                    "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+
+def test_exit_hook_freezes_the_heap_at_exit():
+    # exit hooks run last-registered first: one registered before cli is
+    # imported runs after the cli's, and finds the heap frozen
+    script = ("import atexit, gc\n"
+              "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+              "from fockdual import cli\n"
+              "print(gc.get_freeze_count() > 0)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
+def test_cli_process_writes_the_in_process_reports(tmp_path, monkeypatch):
+    proc = subprocess.run([sys.executable, "-m", "fockdual.cli", "all", "--weight-preset",
+                           "fock:1", "--degree", "2", "--out", str(tmp_path / "process")],
+                          env=_src_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setattr(fenchel, "_MEMO", {})
+    assert run_cli(["all", "--weight-preset", "fock:1", "--degree", "2",
+                    "--out", str(tmp_path / "in_process")]) == 0
+    names = sorted(p.name for p in (tmp_path / "process").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "in_process").iterdir()) and names
+    match, mismatch, errors = filecmp.cmpfiles(tmp_path / "process", tmp_path / "in_process",
+                                               names, shallow=False)
     assert not mismatch and not errors

@@ -3,6 +3,7 @@ scan against a root-finding oracle, and the operator bounds."""
 
 import cmath
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -372,3 +373,24 @@ def test_norm_past_the_float_range_is_a_value_error(fock1):
     rep = fd.isomorphism_bound_check(table, table, 2.0)
     assert len(rep.ln_r) == 201 and np.all(np.isfinite(rep.ln_r))
     assert rep.forward_ok and rep.inverse_ok
+
+
+def test_map_scale_past_the_float_range_is_inf():
+    # on power:1.5:1, ln c_alpha - ln alpha! passes the float range near
+    # degree 420. The scale is inf there, and only there; the maps send an
+    # absent entry to zero and a present one to inf, without a warning
+    table = fd.moment_table(fd.parse_preset("power:1.5:1"), 460)
+    ln_c, ln_fact, scale = table.dense_vectors(460)
+    past = np.isinf(scale)
+    assert 0 < np.count_nonzero(past) < len(scale)
+    assert np.all(ln_c[past] - ln_fact[past] > 709) and np.all(ln_c[~past] - ln_fact[~past] < 710)
+    re = np.where(past, 0.0, 0.75)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = fd.forward_map(fd.CoefficientSequence.dense(1, 460, re, np.zeros(461)), table)
+        back = fd.inverse_map(d, table)
+        top = fd.forward_map(seq(1, 460, {(460,): 1.0}), table)
+    assert np.all(d.re[past] == 0.0) and np.all(back.re[past] == 0.0)
+    assert np.array_equal(d.re[~past], 0.75 * scale[~past])
+    assert np.max(np.abs(back.re - re)) <= 4 * math.ulp(0.75)
+    assert top.re[460] == math.inf and np.all(top.re[:460] == 0.0)

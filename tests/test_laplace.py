@@ -102,6 +102,17 @@ def test_integral_reports_error_estimate(h1):
     assert math.exp(est.ln_value) == pytest.approx(est.value, rel=1e-12)
 
 
+def test_integral_past_the_float_range_has_no_value(fock1):
+    # 2 pi int r^{2a+1} e^{-r^2} dr = pi a! at a = 200, in t = ln r with the
+    # exponent 2 (a + 1) t - 2 phi[e](t): ln of the integral is ln 200! - ln 2
+    h = fenchel.scale_fn(log_image(fock1), 2.0)
+    est = fd.laplace_integral(h, [402.0])
+    assert est.value is None and est.ln_value >= 709
+    assert est.ln_value == pytest.approx(math.lgamma(201) - math.log(2.0), rel=1e-12)
+    rep = fd.sandwich_check(h, [402.0])
+    assert rep.integral is None and rep.verdict
+
+
 def test_sandwich_gaussian_ratio(h1):
     rep = fd.sandwich_check(h1, [0.0])
     expected = math.sqrt(2 * math.pi) / (2 * math.sqrt(2))
