@@ -19,9 +19,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -39,37 +38,38 @@ _PROBES_AXIS_2D = [0.0, 0.731, 1.37, 2.41, 3.14]
 _PROBES_AXIS_3D = [0.0, 1.0, 2.41]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """CLI-level configuration (weight source, degree, output, seed)."""
+class RunConfig(namedtuple("RunConfig", "weight_path weight_preset max_degree out_dir fmt "
+                                        "seed refine tol_identity")):
+    """CLI-level configuration (weight source, degree, output, seed); one
+    field per command-line option."""
 
-    weight_path: Optional[str] = None
-    weight_preset: Optional[str] = None
-    max_degree: int = 8
-    out_dir: str = "fockdual-out"
-    fmt: str = "csv"
-    seed: int = 0
-    refine: int = 0
-    tol_identity: float = TOL_IDENTITY
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_degree < 0:
+    def __new__(cls, weight_path: str | None = None, weight_preset: str | None = None,
+                max_degree: int = 8, out_dir: str = "fockdual-out", fmt: str = "csv",
+                seed: int = 0, refine: int = 0, tol_identity: float = TOL_IDENTITY):
+        if max_degree < 0:
             raise WeightSpecError("degree must be nonnegative")
-        if self.fmt not in ("csv", "json"):
-            raise WeightSpecError(f"unknown report format {self.fmt!r}")
-        if self.seed < 0:
-            raise WeightSpecError(f"--seed must be nonnegative, got {self.seed}")
-        if not (math.isfinite(self.tol_identity) and self.tol_identity > 0):
+        if fmt not in ("csv", "json"):
+            raise WeightSpecError(f"unknown report format {fmt!r}")
+        if seed < 0:
+            raise WeightSpecError(f"--seed must be nonnegative, got {seed}")
+        if not (math.isfinite(tol_identity) and tol_identity > 0):
             raise WeightSpecError(
-                f"--tol-identity must be a finite positive tolerance, got {self.tol_identity}")
+                f"--tol-identity must be a finite positive tolerance, got {tol_identity}")
+        return super().__new__(cls, weight_path, weight_preset, max_degree, out_dir, fmt,
+                               seed, refine, tol_identity)
 
 
-@dataclass
 class SuiteResult:
-    command: str
-    run: RunConfig
-    checks: list = field(default_factory=list)  # (check_id, passed, detail)
-    wall_time: float = 0.0
+    """One suite's checks, each ``(check_id, passed, detail)``, and its wall
+    time; `_suite` fills it in as the suite runs."""
+
+    def __init__(self, command: str, run: RunConfig):
+        self.command = command
+        self.run = run
+        self.checks = []
+        self.wall_time = 0.0
 
     @property
     def passed(self) -> bool:
@@ -504,27 +504,27 @@ def run_all(w: WeightFunction, cfg: NumericsConfig, run: RunConfig) -> list:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: the suite to run (or ``all``) and the options every suite
+    shares, each declared once."""
     parser = argparse.ArgumentParser(
         prog="fockdual",
         description="Verification suites for conjugation, Laplace bounds, "
                     "moments and the coefficient-level duality transform.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("conjugate", "identities", "sandwich", "moments", "duality", "all"):
-        p = sub.add_parser(name)
-        p.add_argument("--weight", dest="weight_path", default=None,
-                       help="path to a JSON weight spec")
-        p.add_argument("--weight-preset", dest="weight_preset", default=None,
-                       help="catalog weight, e.g. fock:2 or power:4:1")
-        p.add_argument("--degree", dest="max_degree", metavar="DEGREE", type=int,
-                       default=8, help="moment/scan truncation degree")
-        p.add_argument("--out", dest="out_dir", default="fockdual-out")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--refine", action="count", default=0,
-                       help="halve grid steps (repeatable); identities also "
-                            "check the residual shrink factor")
-        p.add_argument("--tol-identity", type=float, default=TOL_IDENTITY)
+    parser.add_argument("command", choices=(*_COMMANDS, "all"))
+    parser.add_argument("--weight", dest="weight_path", default=None,
+                        help="path to a JSON weight spec")
+    parser.add_argument("--weight-preset", dest="weight_preset", default=None,
+                        help="catalog weight, e.g. fock:2 or power:4:1")
+    parser.add_argument("--degree", dest="max_degree", metavar="DEGREE", type=int,
+                        default=8, help="moment/scan truncation degree")
+    parser.add_argument("--out", dest="out_dir", default="fockdual-out")
+    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--refine", action="count", default=0,
+                        help="halve grid steps (repeatable); identities also "
+                             "check the residual shrink factor")
+    parser.add_argument("--tol-identity", type=float, default=TOL_IDENTITY)
     return parser
 
 

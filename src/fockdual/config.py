@@ -6,7 +6,7 @@ Every other budget, grid size and tolerance is a module constant here;
 per-dimension ones are ``(n = 1, n = 2, n >= 3)`` tuples read by `by_dim`.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # sups and integrals are truncated where the concave exponent has dropped
 # this far below its running maximum
@@ -28,6 +28,9 @@ MC_SAMPLES = 1_000_000
 # nodes per peak standard deviation
 QUAD_MAX_NODES = (8193, 1537, 161)
 QUAD_PEAK_NODES = 16
+# largest node count of one tensor-grid array: the Laplace quadrature of a
+# non-separable objective and the face probes of a sublevel bounding box
+TENSOR_NODES_MAX = 5e7
 # identity residual tolerance (the CLI's --tol-identity default), and the
 # least residual shrink factor one refinement must show
 TOL_IDENTITY = 1e-3
@@ -39,8 +42,7 @@ def by_dim(values: tuple, n: int):
     return values[min(n, 3) - 1]
 
 
-@dataclass(frozen=True)
-class NumericsConfig:
+class NumericsConfig(NamedTuple):
     """``refine``: halve the per-point conjugation step this many times."""
 
     refine: int = 0

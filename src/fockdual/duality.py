@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -34,23 +34,20 @@ from .moments import LN_2PI, MomentTable, MultiIndex, index_positions
 from .weights import WeightFunction
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class CoefficientSequence:
+class CoefficientSequence(namedtuple("CoefficientSequence", "n truncation_degree re im")):
     """Finite coefficient family alpha -> complex; absent entries are zero.
 
     Stored dense: read-only real and imaginary float arrays ``re`` and
     ``im`` with one entry per iter_indices(n, truncation_degree) index, in
     that order. Entries that are exactly zero count as absent. A batch of B
     sequences holds (B, N) arrays, one row per sequence; ``items``, ``get``
-    and the JSON form read a single sequence.
+    and the JSON form read a single sequence. Two sequences are equal when
+    their shapes and arrays are.
     """
 
-    n: int
-    truncation_degree: int
-    re: np.ndarray
-    im: np.ndarray
+    __slots__ = ()
 
-    def __init__(self, n: int, coeffs: dict, truncation_degree: int):
+    def __new__(cls, n: int, coeffs: dict, truncation_degree: int):
         positions = index_positions(n, truncation_degree)
         re = np.zeros(len(positions))
         im = np.zeros(len(positions))
@@ -64,22 +61,15 @@ class CoefficientSequence:
             c = complex(c)
             re[positions[alpha]] = c.real
             im[positions[alpha]] = c.imag
-        self._set(n, truncation_degree, re, im)
+        return cls.dense(n, truncation_degree, re, im)
 
     @classmethod
     def dense(cls, n: int, truncation_degree: int, re: np.ndarray,
               im: np.ndarray) -> "CoefficientSequence":
         """A sequence from arrays already in iter_indices order."""
-        seq = object.__new__(cls)
-        seq._set(n, truncation_degree, re, im)
-        return seq
-
-    def _set(self, n, truncation_degree, re, im) -> None:
         re.flags.writeable = False
         im.flags.writeable = False
-        for name, value in (("n", n), ("truncation_degree", truncation_degree),
-                            ("re", re), ("im", im)):
-            object.__setattr__(self, name, value)
+        return tuple.__new__(cls, (n, truncation_degree, re, im))
 
     def __eq__(self, other):
         if not isinstance(other, CoefficientSequence):
@@ -88,6 +78,10 @@ class CoefficientSequence:
                 and self.truncation_degree == other.truncation_degree
                 and np.array_equal(self.re, other.re)
                 and np.array_equal(self.im, other.im))
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     @property
     def coeffs(self) -> dict:
@@ -204,8 +198,7 @@ def direct_forward_norm_sq(b: CoefficientSequence, table_phi: MomentTable,
         b, lambda ln_m, j: 2.0 * (ln_c[j] + ln_m - ln_fact[j]) + ln_c_star[j]))
 
 
-@dataclass(frozen=True)
-class StirlingReport:
+class StirlingReport(NamedTuple):
     ln_ratio: float
     ln_lower: float
     ok: bool
@@ -236,8 +229,7 @@ def stirling_identity_check(phi: WeightFunction, alpha: MultiIndex,
     return StirlingReport(ln_ratio=ln_ratio, ln_lower=ln_lower, ok=ok)
 
 
-@dataclass(frozen=True)
-class KConditionReport:
+class KConditionReport(namedtuple("KConditionReport", "products K_hat")):
     """Volume products V(phi-side) V(dual-side) prod(alpha_j) over a scan range.
 
     K_hat is the smallest constant certifying the two-sided condition on
@@ -245,12 +237,12 @@ class KConditionReport:
     over all strictly positive indices).
     """
 
-    products: dict
-    K_hat: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(p <= 0 for p in self.products.values()):
+    def __new__(cls, products: dict, K_hat: float):
+        if any(p <= 0 for p in products.values()):
             raise ValueError("volume products must be positive")
+        return super().__new__(cls, products, K_hat)
 
 
 def _half_slack_volume(w: WeightFunction, y: np.ndarray, cfg: NumericsConfig) -> float:
@@ -278,11 +270,11 @@ def k_condition_scan(phi: WeightFunction, alphas,
     return KConditionReport(products=products, K_hat=k_hat)
 
 
-@dataclass(frozen=True, eq=False)
-class BoundReport:
+class BoundReport(NamedTuple):
     """The transform pair's squared operator norms against their bounds, in
     log space: ``ln_r`` holds ln r_alpha per iter_indices index, and
-    ln ||forward||^2 = max ln r_alpha, ln ||inverse||^2 = max -ln r_alpha."""
+    ln ||forward||^2 = max ln r_alpha, ln ||inverse||^2 = max -ln r_alpha.
+    Its ``ln_r`` is an array, so two reports are not compared."""
 
     ln_r: np.ndarray
     ln_m1: float
@@ -319,9 +311,10 @@ def roundtrip_ulp_error(b: CoefficientSequence, table_phi: MomentTable) -> float
     back = inverse_map(forward_map(b, table_phi), table_phi)
     worst = 0.0
     for rec, ref in ((back.re, b.re), (back.im, b.im)):
-        # np.spacing(|x|) is math.ulp(|x|); fmax skips a NaN as max() does
+        # np.spacing(|x|) is math.ulp(|x|); a NaN entry, never recovered,
+        # makes its sequence's error NaN (np.maximum propagates it)
         ulp = np.where(ref != 0, np.spacing(np.abs(ref)), math.ulp(1.0))
-        worst = np.fmax(worst, np.max(np.abs(rec - ref) / ulp, axis=-1))
+        worst = np.maximum(worst, np.max(np.abs(rec - ref) / ulp, axis=-1))
     return _each(b, np.atleast_1d(worst).tolist())
 
 

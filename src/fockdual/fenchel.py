@@ -19,8 +19,9 @@ is smooth in the grid step instead of alignment-quantized.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -38,19 +39,17 @@ class DivergenceError(RuntimeError):
 # sampled functions on uniform tensor grids
 
 
-@dataclass(frozen=True)
-class GridAxis:
+class GridAxis(namedtuple("GridAxis", "lo hi count")):
     """Uniform 1-D grid with count >= 2 nodes on [lo, hi]."""
 
-    lo: float
-    hi: float
-    count: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.count < 2:
+    def __new__(cls, lo: float, hi: float, count: int):
+        if count < 2:
             raise ValueError("grid needs at least 2 nodes")
-        if not self.hi > self.lo:
+        if not hi > lo:
             raise ValueError("grid axis must be strictly increasing")
+        return super().__new__(cls, lo, hi, count)
 
     @property
     def step(self) -> float:
@@ -60,21 +59,20 @@ class GridAxis:
         return np.linspace(self.lo, self.hi, self.count)
 
 
-@dataclass(frozen=True)
-class SampledFunction:
+class SampledFunction(namedtuple("SampledFunction", "axes values parts")):
     """Tensor-grid sampling of a scalar function on a box; ``parts``, for a sum
     of per-axis profiles, holds one sample vector per axis (`separable`)."""
 
-    axes: tuple[GridAxis, ...]
-    values: np.ndarray
-    parts: Optional[tuple[np.ndarray, ...]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        shape = tuple(a.count for a in self.axes)
-        if self.values.shape != shape:
-            raise ValueError(f"values shape {self.values.shape} != grid shape {shape}")
-        if not np.all(np.isfinite(self.values)):
+    def __new__(cls, axes: tuple[GridAxis, ...], values: np.ndarray,
+                parts: Optional[tuple[np.ndarray, ...]] = None):
+        shape = tuple(a.count for a in axes)
+        if values.shape != shape:
+            raise ValueError(f"values shape {values.shape} != grid shape {shape}")
+        if not np.all(np.isfinite(values)):
             raise ValueError("sampled values must be finite at every node")
+        return super().__new__(cls, axes, values, parts)
 
     @classmethod
     def separable(cls, axes: Sequence[GridAxis], parts: Sequence[np.ndarray]):
@@ -236,22 +234,19 @@ def conjugate_nd(f: SampledFunction, dual_grid: Sequence[GridAxis]) -> SampledFu
 # per-point truncated sups
 
 
-@dataclass(frozen=True)
-class SupResult:
+class SupResult(namedtuple("SupResult", "value argmax lo hi curvature")):
     """Truncated sup of a concave objective with its decay box.
 
     The arrays are made read-only: the memo hands one result to every caller.
     """
 
-    value: float
-    argmax: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    curvature: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        for a in (self.argmax, self.lo, self.hi, self.curvature):
+    def __new__(cls, value: float, argmax: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                curvature: np.ndarray):
+        for a in (argmax, lo, hi, curvature):
             a.flags.writeable = False
+        return super().__new__(cls, value, argmax, lo, hi, curvature)
 
 
 # Per-process memo of sups, sublevel volumes and Laplace integrals of keyed
@@ -679,8 +674,7 @@ def entropy_sum(x: np.ndarray) -> float:
     return float(np.sum(nz * np.log(nz) - nz))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     points: tuple[tuple[float, ...], ...]
     lhs: tuple[float, ...]
     rhs: tuple[float, ...]
@@ -719,8 +713,7 @@ def verify_identities(u: WeightFunction, points,
     )
 
 
-@dataclass(frozen=True)
-class DivergenceProfile:
+class DivergenceProfile(NamedTuple):
     rows: tuple[tuple[float, float], ...]
     witness_sups: tuple[float, ...]
 

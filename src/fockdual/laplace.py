@@ -10,13 +10,14 @@ of e^{<x,y> - h(x)} between e^{-1} V e^{h*(y)} and (1 + n!) V e^{h*(y)}.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .config import (DECAY_BUDGET, DEFAULT, MC_SAMPLES, QUAD_MAX_NODES, QUAD_PEAK_NODES,
-                     VOLUME_CELLS, NumericsConfig, by_dim)
+                     TENSOR_NODES_MAX, VOLUME_CELLS, NumericsConfig, by_dim)
 from .fenchel import (DivergenceError, GridFn, SupResult, key_terms, memoized, tilt,
                       truncated_sup, value_bytes)
 
@@ -46,14 +47,13 @@ def make_sublevel_spec(h: GridFn, y, p: float,
     return SublevelSpec(h=h, y=y, p=float(p), hstar_y=sup.value, argmax=sup.argmax)
 
 
-@dataclass(frozen=True)
-class VolumeEstimate:
-    value: float
-    half_width: float
+class VolumeEstimate(namedtuple("VolumeEstimate", "value half_width")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value < 0 or self.half_width < 0:
+    def __new__(cls, value: float, half_width: float):
+        if value < 0 or half_width < 0:
             raise ValueError("volume and error bound must be nonnegative")
+        return super().__new__(cls, value, half_width)
 
 
 _MAX_EXPANSIONS = 200
@@ -62,8 +62,14 @@ _MAX_EXPANSIONS = 200
 def _bounding_box(spec: SublevelSpec, probe_per_axis: int = 17) -> tuple[np.ndarray, np.ndarray]:
     """Expand a box from the gap minimizer until every face is outside D,
     probing both faces of an axis in one call (a numeric dual's table grows on
-    the largest |r| read: for a log image the hi face, as in a one-face probe)."""
+    the largest |r| read: for a log image the hi face, as in a one-face probe).
+    A face holds 2 probe_per_axis^(n - 1) nodes; past `TENSOR_NODES_MAX` it
+    raises a ValueError before any is built."""
     n = spec.h.n
+    face_nodes = 2 * probe_per_axis ** (n - 1)
+    if face_nodes > TENSOR_NODES_MAX:
+        raise ValueError(f"the sublevel bounding-box face probe needs {face_nodes} nodes at "
+                         f"n = {n}, past the tensor-grid budget of {TENSOR_NODES_MAX:.0e}")
     lo = spec.argmax - 1.0
     hi = spec.argmax + 1.0
     for _ in range(_MAX_EXPANSIONS):
@@ -248,8 +254,7 @@ def exp_in_range(ln_value: float) -> Optional[float]:
         return None
 
 
-@dataclass(frozen=True)
-class IntegralEstimate:
+class IntegralEstimate(NamedTuple):
     value: Optional[float]  # None past the float range
     ln_value: float
     rel_error: float
@@ -292,8 +297,8 @@ def laplace_integral(h: GridFn, y, cfg: NumericsConfig = DEFAULT,
     its own node array, the same nodes the tensor grid would have, and the
     fine and coarse Simpson sums are the products of the per-axis sums,
     scaled by e to the summed per-axis peaks. Memory and time then grow
-    with n, not with nodes^n, and the 5e7-node guard applies only to the
-    tensor. At n = 1 the two paths give the same floats; at n >= 2 the
+    with n, not with nodes^n, and the `TENSOR_NODES_MAX` guard applies only
+    to the tensor. At n = 1 the two paths give the same floats; at n >= 2 the
     value moves only by roundoff. Once Simpson has converged, rel_error
     is itself roundoff (about 1e-16) plus e^{-DECAY_BUDGET}.
     """
@@ -347,7 +352,7 @@ def _laplace_integral(h: GridFn, y: np.ndarray, cfg: NumericsConfig,
                  for j, prof in enumerate(h.axis_profiles)]
     else:
         axes, steps = zip(*map(axis, range(n)))
-        if math.prod(len(a) for a in axes) > 5e7:
+        if math.prod(len(a) for a in axes) > TENSOR_NODES_MAX:
             raise ValueError("integration grid too large for this dimension")
         parts = [_simpson_part(tilt(-h.on_axes(axes), y, axes), steps)]
     peak, fine, coarse = 0.0, 1.0, 1.0
@@ -363,8 +368,7 @@ def _laplace_integral(h: GridFn, y: np.ndarray, cfg: NumericsConfig,
                             rel_error=float(rel))
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     integral: Optional[float]  # None past the float range
     volume: VolumeEstimate
     hstar_y: float

@@ -14,10 +14,10 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,17 +29,16 @@ from .weights import WeightFunction
 LN_2PI = math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True, order=True)
-class MultiIndex:
-    """Element of Z_+^n indexing monomials and moments."""
+class MultiIndex(namedtuple("MultiIndex", "components")):
+    """Element of Z_+^n indexing monomials and moments; indices order as
+    their component tuples."""
 
-    components: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.components or any(
-            not isinstance(c, int) or c < 0 for c in self.components
-        ):
+    def __new__(cls, components: tuple[int, ...]):
+        if not components or any(not isinstance(c, int) or c < 0 for c in components):
             raise ValueError("multi-index needs nonnegative integer components")
+        return super().__new__(cls, components)
 
     @property
     def n(self) -> int:
@@ -71,8 +70,7 @@ def index_positions(n: int, max_degree: int) -> Mapping[MultiIndex, int]:
     return MappingProxyType({alpha: i for i, alpha in enumerate(iter_indices(n, max_degree))})
 
 
-@dataclass(frozen=True)
-class MomentEntry:
+class MomentEntry(NamedTuple):
     value: Optional[float]  # None past the float range
     ln_value: float
     rel_error: float
@@ -91,8 +89,7 @@ def moment(phi: WeightFunction, alpha: MultiIndex,
                        rel_error=est.rel_error)
 
 
-@dataclass(frozen=True)
-class FockMoment:
+class FockMoment(NamedTuple):
     value: Optional[float]  # None past the float range
     ln_value: float
 
@@ -110,24 +107,24 @@ def fock_oracle(alpha: MultiIndex, n: int) -> FockMoment:
     return FockMoment(value=exp_in_range(ln_value), ln_value=ln_value)
 
 
-@dataclass(frozen=True)
-class MomentTable:
+class MomentTable(namedtuple("MomentTable", "phi_label n max_degree entries")):
     """Moments for all |alpha| <= max_degree, with per-entry error estimates.
-    A value past the float range is None (an empty CSV cell, JSON null)."""
+    A value past the float range is None (an empty CSV cell, JSON null).
 
-    phi_label: str
-    n: int
-    max_degree: int
-    entries: dict
-    _dense: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    An instance has a ``__dict__`` of its own for one attribute, ``_dense``,
+    the cache of `dense_vectors`: it is not a field, so it is neither
+    compared nor shown."""
 
-    def __post_init__(self):
-        for alpha in iter_indices(self.n, self.max_degree):
-            if alpha not in self.entries:
+    def __new__(cls, phi_label: str, n: int, max_degree: int, entries: dict):
+        for alpha in iter_indices(n, max_degree):
+            if alpha not in entries:
                 raise ValueError(f"table missing {alpha.components}")
-        for alpha, e in self.entries.items():
+        for alpha, e in entries.items():
             if not (e.value is None or 0 < e.value < math.inf):
                 raise ValueError(f"moment at {alpha.components} must be positive and finite")
+        table = super().__new__(cls, phi_label, n, max_degree, entries)
+        table._dense = {}
+        return table
 
     def entry(self, alpha: MultiIndex) -> MomentEntry:
         try:
@@ -222,8 +219,7 @@ def moment_table(phi: WeightFunction, max_degree: int,
     )
 
 
-@dataclass(frozen=True)
-class Lemma2Report:
+class Lemma2Report(NamedTuple):
     bound_ln: float
     value_ln: float
     ok: bool
@@ -248,8 +244,7 @@ def lemma2_check(phi: WeightFunction, alpha: MultiIndex,
     )
 
 
-@dataclass(frozen=True)
-class Lemma4Report:
+class Lemma4Report(NamedTuple):
     lo_ln: float
     value_ln: float
     hi_ln: float
@@ -283,8 +278,7 @@ def lemma4_check(phi: WeightFunction, alpha: MultiIndex,
     )
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     floor_ln: float
     log_convex_ok: bool
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,22 +35,20 @@ def add_on_axes(tensor: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndarray
     return tensor
 
 
-@dataclass(frozen=True)
-class PowerTerm:
+class PowerTerm(namedtuple("PowerTerm", "kind p coef")):
     """One additive term: coef * sum_j x_j**p / p ("power") or
     coef * ||x||**p / p ("radial_power"), on moduli x >= 0."""
 
-    kind: str  # "power" | "radial_power"
-    p: float
-    coef: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("power", "radial_power"):
-            raise WeightSpecError(f"unknown term type {self.kind!r}")
-        if not self.p > 1.0:
+    def __new__(cls, kind: str, p: float, coef: float):
+        if kind not in ("power", "radial_power"):
+            raise WeightSpecError(f"unknown term type {kind!r}")
+        if not p > 1.0:
             raise WeightSpecError("term exponent must exceed 1 (superlinearity)")
-        if not self.coef > 0.0:
+        if not coef > 0.0:
             raise WeightSpecError("term coefficient must be positive")
+        return super().__new__(cls, kind, p, coef)
 
     @property
     def separable(self) -> bool:
@@ -260,8 +259,7 @@ _TOLERANCE = 1e-9
 _SEED = 0
 
 
-@dataclass(frozen=True)
-class ClassVReport:
+class ClassVReport(NamedTuple):
     symmetric_ok: bool
     monotone_ok: bool
     superlinear_ok: bool

@@ -192,12 +192,58 @@ _TOL = "--tol-identity must be a finite positive tolerance"
     pytest.param("--tol-identity", "0", _TOL, id="tol-0"),
     pytest.param("--tol-identity", "-1", _TOL, id="tol--1"),
 ])
-def test_nonpositive_volume_cells_is_a_usage_error(tmp_path, capsys, option, value, message):
+def test_bad_seed_or_tolerance_is_a_usage_error(tmp_path, capsys, option, value, message):
     # a bad run option exits 2 before any suite starts
     assert run_cli(["sandwich", "--weight-preset", "fock:1", option, value,
                     "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# each option with a value and the RunConfig field it sets
+_OPTIONS = [
+    ("--weight", "w.json", "weight_path", "w.json"),
+    ("--weight-preset", "fock:2", "weight_preset", "fock:2"),
+    ("--degree", "3", "max_degree", 3),
+    ("--out", "o", "out_dir", "o"),
+    ("--format", "json", "fmt", "json"),
+    ("--seed", "4", "seed", 4),
+    ("--refine", None, "refine", 1),
+    ("--tol-identity", "1e-6", "tol_identity", 1e-6),
+]
+
+
+@pytest.mark.parametrize("option,value,field,parsed", _OPTIONS, ids=[o[0] for o in _OPTIONS])
+@pytest.mark.parametrize("command", [*cli._COMMANDS, "all"])
+def test_every_command_accepts_each_option(command, option, value, field, parsed):
+    parser = cli.build_parser()
+    opts = vars(parser.parse_args([command, option] + ([] if value is None else [value])))
+    default = vars(parser.parse_args([command]))
+    assert opts["command"] == command
+    assert {k for k in opts if opts[k] != default[k]} == {field} and opts[field] == parsed
+    opts.pop("command")
+    assert getattr(cli.RunConfig(**opts), field) == parsed
+
+
+def test_parser_options_are_the_run_config_fields():
+    dests = [a.dest for a in cli.build_parser()._actions if a.option_strings and a.dest != "help"]
+    assert sorted(dests) == sorted(cli.RunConfig._fields)
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["all", "--format", "xml"]],
+                         ids=["no-command", "unknown-command", "bad-format"])
+def test_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_face_probe_past_the_node_budget_exits_3(tmp_path, capsys):
+    # one face of the sublevel bounding box at n = 9 holds 2 * 17^8 nodes
+    assert run_cli(["moments", "--weight-preset", "fock:9", "--degree", "1",
+                    "--out", str(tmp_path)]) == 3
+    assert "face probe needs 13951514882 nodes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n,degree", [(1, 8), (2, 4)])

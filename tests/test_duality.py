@@ -375,6 +375,18 @@ def test_norm_past_the_float_range_is_a_value_error(fock1):
     assert rep.forward_ok and rep.inverse_ok
 
 
+def test_roundtrip_with_a_nan_entry_is_not_a_pass(fock1):
+    # the NaN entry is never recovered, so the sequence's error is NaN, and
+    # `ulp <= 4` reads false
+    table = fd.moment_table(fock1, 3)
+    b = fd.CoefficientSequence.dense(1, 3, np.array([1.0, math.nan, 1.0, 1.0]), np.zeros(4))
+    assert math.isnan(fd.roundtrip_ulp_error(b, table))
+    batch = fd.CoefficientSequence.dense(
+        1, 3, np.array([[1.0, 1.0, 1.0, 1.0], [1.0, math.nan, 1.0, 1.0]]), np.zeros((2, 4)))
+    first, second = fd.roundtrip_ulp_error(batch, table)
+    assert first <= 4.0 and math.isnan(second)
+
+
 def test_map_scale_past_the_float_range_is_inf():
     # on power:1.5:1, ln c_alpha - ln alpha! passes the float range near
     # degree 420. The scale is inf there, and only there; the maps send an
