@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import duality, fenchel, laplace, moments, weights
-from .config import REFINE_SHRINK, TOL_IDENTITY, NumericsConfig
+from .config import REFINE_SHRINK, T_FLOOR, TOL_IDENTITY, NumericsConfig
 from .fenchel import GridAxis, SampledFunction
 from .weights import WeightFunction, WeightSpecError
 
@@ -221,6 +221,7 @@ def cmd_conjugate(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
     # log-substituted conjugate table on the same dual grid
     if w.is_separable:
         wa = _axis_weight(w)
+        fenchel.prefetch_sups(fenchel.log_image(wa), axis[:, None], cfg, T_FLOOR)
         axis_vals = np.array([fenchel.log_conj(wa, [v], cfg) for v in axis])
         log_tensor = weights.add_on_axes(np.zeros((nodes_per_axis,) * w.n),
                                          [axis_vals] * w.n)
@@ -343,10 +344,12 @@ def _sandwich_grid(n: int) -> list:
 def cmd_sandwich(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
                  run: RunConfig) -> None:
     h = fenchel.symmetrized_fn(w)
+    grid = _sandwich_grid(w.n)
+    fenchel.prefetch_sups(h, grid, cfg)
     rows = []
     all_ok = True
     worst_err = 0.0
-    for y in _sandwich_grid(w.n):
+    for y in grid:
         rep = laplace.sandwich_check(h, y, cfg)
         all_ok = all_ok and rep.verdict
         worst_err = max(worst_err, rep.combined_rel_error)
@@ -367,18 +370,12 @@ def cmd_sandwich(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
 def cmd_moments(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
                 run: RunConfig) -> None:
     table = moments.moment_table(w, run.max_degree, cfg)
-    if run.fmt == "csv":
-        result.table("moments_table", [f"alpha_{j + 1}" for j in range(w.n)]
-                     + ["value", "ln_value", "rel_error"], table.rows())
-    else:
-        # the JSON table keeps its own layout (`MomentTable.to_json`)
-        Path(run.out_dir).mkdir(parents=True, exist_ok=True)
-        table.to_json(Path(run.out_dir) / "moments_table.json")
-
+    alphas = list(moments.iter_indices(w.n, run.max_degree))
+    fenchel.prefetch_sups(fenchel.log_image(w), [a.shifted() for a in alphas], cfg)
     check_rows = []
     lemma2_ok = True
     lemma4_ok = True
-    for alpha in moments.iter_indices(w.n, run.max_degree):
+    for alpha in alphas:
         entry = table.entry(alpha)
         r2 = moments.lemma2_check(w, alpha, cfg, entry=entry)
         r4 = moments.lemma4_check(w, alpha, cfg, entry=entry)
@@ -415,6 +412,14 @@ def cmd_moments(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
             g.log_convex_ok and math.isfinite(g.floor_ln),
             f"floor_ln={g.floor_ln!r}",
         )
+    # written once every check has run, so a run that fails leaves no table
+    if run.fmt == "csv":
+        result.table("moments_table", [f"alpha_{j + 1}" for j in range(w.n)]
+                     + ["value", "ln_value", "rel_error"], table.rows())
+    else:
+        # the JSON table keeps its own layout (`MomentTable.to_json`)
+        Path(run.out_dir).mkdir(parents=True, exist_ok=True)
+        table.to_json(Path(run.out_dir) / "moments_table.json")
 
 
 @_suite
@@ -436,9 +441,12 @@ def cmd_duality(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
         [a.components + (p,) for a, p in sorted(krep.products.items())],
     )
 
+    alphas = list(moments.iter_indices(w.n, run.max_degree))
+    for v in (w, w_star):
+        fenchel.prefetch_sups(fenchel.log_image(v), [a.shifted() for a in alphas], cfg)
     stirling_rows = []
     stirling_ok = True
-    for alpha in moments.iter_indices(w.n, run.max_degree):
+    for alpha in alphas:
         rep = duality.stirling_identity_check(w, alpha, cfg, phi_dual=w_star)
         stirling_ok = stirling_ok and rep.ok
         stirling_rows.append(

@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .config import DEFAULT, NumericsConfig
-from .fenchel import dual_weight, log_image, scale_fn, truncated_sup
+from .fenchel import dual_weight, log_image, prefetch_sups, scale_fn, truncated_sup
 from .laplace import laplace_integral, make_sublevel_spec, sublevel_volume
 from .moments import LN_2PI, MomentTable, MultiIndex, index_positions
 from .weights import WeightFunction
@@ -256,9 +256,12 @@ def k_condition_scan(phi: WeightFunction, alphas,
     """Scan the volume-product condition over strictly positive indices."""
     if phi_dual is None:
         phi_dual = dual_weight(phi, cfg)
+    alphas = sorted(alphas)
+    for w in (phi, phi_dual):
+        prefetch_sups(log_image(w), [a.components for a in alphas], cfg)
     products = {}
     k_hat = 1.0
-    for alpha in sorted(alphas):
+    for alpha in alphas:
         if any(c < 1 for c in alpha.components):
             raise ValueError("scan indices must have strictly positive components")
         y = np.asarray(alpha.components, dtype=np.float64)

@@ -7,7 +7,11 @@ Two conjugation surfaces live here:
   dual, used for dual tables and biconjugation, per axis for sums of profiles;
 * per-point truncated sups (`truncated_sup`, `log_conj`)
   over decay-budget boxes, used by the identity verifier
-  (`verify_identities`) and by the Laplace/moment modules.
+  (`verify_identities`) and by the Laplace/moment modules. Every line sup
+  is a row of one batched solver, `_sup_lines`; a check loop first hands
+  its points to `prefetch_sups` (which raises no numeric failure), so its
+  per-point calls read the memo. The curvature at a maximizer stays three
+  0-d profile calls; separable numeric duals are memoized under a token.
 
 The grid transforms compute the exact max over sample nodes (lower
 conjugate), which keeps the Fenchel-Young inequality exact at nodes and
@@ -18,6 +22,7 @@ is smooth in the grid step instead of alignment-quantized.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -26,13 +31,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from ._scan import Hull, conjugate_lines
+from ._supline import _EXPAND_CAP, DivergenceError, _sup_line, _sup_lines
 from .config import CONJ_STEP, DECAY_BUDGET, DEFAULT, T_FLOOR, NumericsConfig
 from .weights import WeightFunction, add_on_axes
-
-
-class DivergenceError(RuntimeError):
-    """Objective failed to decay within the expansion cap (not superlinear,
-    or the dual point lies outside the finite-conjugate region)."""
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +114,13 @@ def _weight_image(w: WeightFunction, kind: str, at, on_axes,
     """The image ``kind`` ("sym" or "log") of the weight ``w``: it splits over
     the axes when ``w`` does (``profile`` maps w's axis profile to its own)
     and is convex when ``w`` is. Its key is w's terms, which define the
-    evaluators (fock:N and its structural dual fock:N* give one key); a
-    weight without terms (a numeric dual, whose table grows, or a custom
-    evaluator) gives none."""
+    evaluators (fock:N and its structural dual fock:N* give one key), or a
+    separable numeric dual's token; any other weight (a non-separable
+    numeric dual, a custom evaluator) gives none."""
     profiles = (profile(w.axis_profile()),) * w.n if w.is_separable else None
+    name = w.terms if w.terms is not None else w.memo_token
     return GridFn(n=w.n, at=at, on_axes=on_axes, axis_profiles=profiles,
-                  key=None if w.terms is None else (kind, (w.n, w.terms)),
-                  convex=w.convex)
+                  key=None if name is None else (kind, (w.n, name)), convex=w.convex)
 
 
 def symmetrized_fn(w: WeightFunction) -> GridFn:
@@ -164,12 +165,14 @@ def scale_fn(fn: GridFn, c: float) -> GridFn:
 
 
 def key_terms(key: tuple) -> tuple[int, int]:
-    """The number of terms of the weight a keyed grid function is made from,
-    and how many times `scale_fn` scaled it."""
+    """The number of terms of the weight a keyed grid function is made from
+    (a numeric dual counts one: its grid sums one hull value per axis), and
+    how many times `scale_fn` scaled it."""
     scalings = 0
     while key[0] == "scale":
         key, scalings = key[1], scalings + 1
-    return len(key[1][1]), scalings
+    name = key[1][1]
+    return len(name) if isinstance(name, tuple) else 1, scalings
 
 
 def tilt(tensor: np.ndarray, y, axes: Sequence[np.ndarray], sign: float = 1.0) -> np.ndarray:
@@ -275,125 +278,8 @@ def value_bytes(a) -> bytes:
     return np.asarray(a, dtype=np.float64).tobytes()
 
 
-_EXPAND_CAP = 600.0
-# coarse search step of `_sup_line`, and the half-width of its fine window
-_COARSE = 0.25
-_WINDOW = 2 * _COARSE
-# node stride of the first pass over a concave objective's fine window
-_STRIDE = 32
-
-
-def _fine_nodes(lo: float, hi: float, intervals: int, a: int, b: int,
-                stride: int = 1) -> np.ndarray:
-    """``np.linspace(lo, hi, intervals + 1)[a:b:stride]`` for
-    ``0 <= a < b <= intervals + 1``, built from those indices alone with
-    numpy's formula (index times step plus ``lo``, the last node ``hi``),
-    so every node is the same float as in the whole grid."""
-    delta = float(hi) - float(lo)
-    step = delta / intervals
-    idx = np.arange(a, b, stride)
-    # numpy divides first when the step underflows to zero
-    nodes = idx / intervals * delta if step == 0 else idx * step
-    nodes += lo
-    if idx[-1] == intervals:
-        nodes[-1] = hi
-    return nodes
-
-
 def _finite(vals: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(vals), vals, -np.inf)
-
-
-def _sup_line(objective: Callable[[np.ndarray], np.ndarray], step: float,
-              floor: Optional[float], concave: bool = False) -> tuple[float, float, float, float]:
-    """Maximize a 1-D objective over its decay box.
-
-    Returns (value, argmax, lo, hi). The box is grown until the objective
-    has dropped `DECAY_BUDGET` below its running max on both ends; a
-    floor pins the lower end (log-space degenerate directions approach
-    their sup as t -> -inf, so the box stops at the configured floor).
-    The max is then taken on a fine power-of-two grid over the box. Each
-    pass builds only the nodes it reads (`_fine_nodes`), the same floats
-    as in the whole grid.
-
-    A ``concave`` objective is read in two passes over the window of fine
-    nodes within two coarse steps of the coarse argmax, plus one node on
-    each side: every `_STRIDE`-th node of the window, then every node
-    within two strides of that pass's argmax. A concave function peaks
-    within one coarse step of its coarse argmax and within one stride of
-    its strided argmax, so the fine max lies inside the last span and
-    every node outside it is lower. The spans are slices of the same fine
-    grid, so the value, the argmax node, the parabolic lift and the box
-    are the same floats as on the whole grid. If a span's max lands on an
-    edge where the span cuts the grid, the next wider span is read: the
-    window, then the whole grid. Only objectives <y, t> - fn(t) with
-    ``fn`` convex by construction (`GridFn.convex`) are passed as concave:
-    a weight given only by an evaluator need not be convex, and a
-    non-concave objective can have a local max in a span below its global
-    one.
-
-    Which fine nodes are read never changes a numeric dual's table: the
-    table grows only with the largest |r| a query reads (``r.max()``), and
-    every fine node lies inside the coarse probe, which read that |r|
-    first.
-    """
-    lo = floor if floor is not None else -2.0
-    hi = 2.0
-    while True:
-        t = np.arange(lo, hi + _COARSE / 2, _COARSE)
-        psi = _finite(objective(t))
-        peak = int(np.argmax(psi))
-        m = psi[peak]
-        if not np.isfinite(m):
-            raise DivergenceError("objective is -inf on the whole probe box")
-        need_hi = psi[-1] > m - DECAY_BUDGET
-        need_lo = psi[0] > m - DECAY_BUDGET and floor is None
-        if not (need_hi or need_lo):
-            break
-        if need_hi:
-            hi = hi * 2 if hi >= 1 else hi + 2
-            if hi > _EXPAND_CAP:
-                raise DivergenceError("objective does not decay (superlinearity fails)")
-        if need_lo:
-            lo = lo * 2 if lo <= -1 else lo - 2
-            if lo < -_EXPAND_CAP:
-                raise DivergenceError("objective does not decay (superlinearity fails)")
-    keep = np.flatnonzero(psi > m - DECAY_BUDGET)
-    lo_box = t[max(keep[0] - 1, 0)]
-    hi_box = t[min(keep[-1] + 1, len(t) - 1)]
-    if floor is not None:
-        lo_box = max(lo_box, floor)
-    # power-of-two interval count: halving the step inserts exact midpoints,
-    # so refinement never loses a node and residuals shrink monotonically
-    intervals = 1 << max(1, math.ceil(math.log2((hi_box - lo_box) / step)))
-    count = intervals + 1
-    spans = [(0, count)]
-    if concave:
-        h = (hi_box - lo_box) / intervals
-        a = max(math.floor((t[peak] - _WINDOW - lo_box) / h) - 1, 0)
-        b = min(math.ceil((t[peak] + _WINDOW - lo_box) / h) + 2, count)
-        probe = _finite(objective(_fine_nodes(lo_box, hi_box, intervals, a, b, _STRIDE)))
-        mid = a + _STRIDE * int(np.argmax(probe))
-        spans = [(max(mid - 2 * _STRIDE, a), min(mid + 2 * _STRIDE + 1, b)), (a, b)] + spans
-    for a, b in spans:
-        nodes = _fine_nodes(lo_box, hi_box, intervals, a, b)
-        vals = _finite(objective(nodes))
-        k = int(np.argmax(vals))
-        # a max on an edge where the span cuts the grid: widen the span
-        if not ((k == 0 and a > 0) or (k == len(vals) - 1 and b < count)):
-            break
-    # past the widening, k is interior to vals exactly when a + k is
-    # interior to the fine grid
-    value = float(vals[k])
-    if 0 < k < len(vals) - 1 and np.isfinite(vals[k - 1]) and np.isfinite(vals[k + 1]):
-        # parabolic peak lift through the bracketing triple; the vertex is
-        # always within half a step of the argmax node, and the lift removes
-        # the alignment-quantized part of the node-max error
-        num = float(vals[k + 1] - vals[k - 1])
-        den = float(vals[k + 1] - 2.0 * vals[k] + vals[k - 1])
-        if den < 0.0:
-            value += num * num / (-8.0 * den)
-    return value, float(nodes[k]), lo_box, hi_box
 
 
 def _coordinate_argmax(fn: GridFn, y: np.ndarray, floor: Optional[float]) -> np.ndarray:
@@ -478,15 +364,13 @@ def _peak_curvature(fn: GridFn, t_star: np.ndarray, y: np.ndarray) -> np.ndarray
     return out
 
 
-def _axis_line(prof: Callable[[np.ndarray], np.ndarray], yj: float, step: float,
-               floor: Optional[float], concave: bool) -> tuple[float, float, float, float, float]:
-    """(value, argmax, lo, hi, curvature) of sup_t yj t - prof(t)."""
-    val, tj, lo_j, hi_j = _sup_line(lambda t: yj * t - prof(t), step, floor, concave)
+def _curvature(prof: Callable[[np.ndarray], np.ndarray], tj: float) -> float:
+    """|second difference| of a profile at ``tj``, from three 0-d calls: a
+    0-d call can round apart from an array call (a scalar ``r ** p``)."""
     h = 1e-3
-    curv = abs(
+    return abs(
         float(prof(np.array(tj + h)) + prof(np.array(tj - h)) - 2 * prof(np.array(tj)))
     ) / h**2
-    return val, tj, lo_j, hi_j, curv
 
 
 def truncated_sup(fn: GridFn, y, cfg: NumericsConfig = DEFAULT,
@@ -508,16 +392,21 @@ def _truncated_sup(fn: GridFn, y: np.ndarray, cfg: NumericsConfig,
                    floor: Optional[float]) -> SupResult:
     if fn.axis_profiles is not None:
         step = cfg.step_for(fn.n, separable=True)
+
+        def line(prof, yj):
+            got, = _sup_lines(prof, [yj], step, floor, fn.convex)
+            if isinstance(got, DivergenceError):
+                raise got
+            return got + (_curvature(prof, got[1]),)
+
         # every axis of a keyed function has one profile, so a line depends on
         # the axis coordinate alone
-        lines = [
-            memoized(fn.key, ("line", value_bytes(y[j]), cfg, floor),
-                     lambda p=prof, yj=y[j]: _axis_line(p, yj, step, floor, fn.convex))
-            for j, prof in enumerate(fn.axis_profiles)
-        ]
+        lines = [memoized(fn.key, ("line", value_bytes(y[j]), cfg, floor),
+                          lambda p=prof, yj=y[j]: line(p, yj))
+                 for j, prof in enumerate(fn.axis_profiles)]
         total = 0.0
-        for line in lines:
-            total += line[0]
+        for got in lines:
+            total += got[0]
         arg, lo, hi, curv = (np.array(col) for col in list(zip(*lines))[1:])
         return SupResult(total, arg, lo, hi, curv)
 
@@ -539,6 +428,42 @@ def _truncated_sup(fn: GridFn, y: np.ndarray, cfg: NumericsConfig,
     idx = np.unravel_index(flat, psi.shape)
     arg = np.array([axes[j][idx[j]] for j in range(fn.n)])
     return SupResult(float(psi[idx]), arg, lo, hi, _peak_curvature(fn, arg, y))
+
+
+def prefetch_sups(fn: GridFn, ys, cfg: NumericsConfig = DEFAULT,
+                  floor: Optional[float] = None) -> None:
+    """Store the sups of a keyed separable ``fn`` at the dual points ``ys``
+    in the memo, under `truncated_sup`'s keys and with its floats, for a
+    loop that then reads them there: the lines the memo lacks in one
+    `_sup_lines` call (their curvature from 0-d calls, as a point's own
+    solve), then each point from its lines. Any other ``fn`` is left alone.
+    It raises no numeric failure: a line that fails is left to the loop's
+    own call."""
+    if fn.key is None or fn.axis_profiles is None:
+        return
+    try:
+        ys = np.asarray(ys, dtype=np.float64).reshape(-1, fn.n)
+        if not np.isfinite(ys).all():
+            return
+        prof, step = fn.axis_profiles[0], cfg.step_for(fn.n, separable=True)
+        raw = ys.tobytes()  # each coordinate's and each point's `value_bytes`
+        coords = [raw[i:i + 8] for i in range(0, len(raw), 8)]
+        lines = {c: (fn.key, "line", c, cfg, floor) for c in coords}
+        todo = [c for c, key in lines.items() if key not in _MEMO]
+        if todo:
+            solved = _sup_lines(prof, np.frombuffer(b"".join(todo)), step, floor, fn.convex)
+            for c, got in zip(todo, solved):
+                if not isinstance(got, DivergenceError):
+                    _MEMO[lines[c]] = got + (_curvature(prof, got[1]),)
+        for r, y in enumerate(ys):
+            point = coords[r * fn.n:(r + 1) * fn.n]
+            if all(lines[c] in _MEMO for c in point):
+                memoized(fn.key, ("sup", b"".join(point), cfg, floor),
+                         lambda: _truncated_sup(fn, y, cfg, floor))
+    except (ArithmeticError, RuntimeError, ValueError):
+        # a numeric failure on the batch (a profile that overflows, a numeric
+        # dual's extent sup that diverges): the loop's own calls raise it
+        return
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +552,15 @@ class _NumericDual:
         return conjugate_values([p_nodes] * self.n, vals, axes)
 
 
+# the memo tokens of separable numeric duals: drawn once each, never reused
+_DUAL_TOKENS = itertools.count()
+
+
 def numeric_dual_weight(w: WeightFunction, cfg: NumericsConfig = DEFAULT) -> WeightFunction:
-    """Conjugate weight computed from sampled hulls (no closed form needed)."""
+    """Conjugate weight computed from sampled hulls (no closed form needed).
+    A separable one is memoized under a token drawn here (never a reference
+    to it): its table is a prefix of one fixed grid, so no value moves as it
+    grows. A non-separable table is resampled as it grows: no token."""
     nd = _NumericDual(w, cfg)
     return WeightFunction(
         n=w.n,
@@ -638,6 +570,7 @@ def numeric_dual_weight(w: WeightFunction, cfg: NumericsConfig = DEFAULT) -> Wei
         # the conjugate of a sum of per-axis profiles is the per-axis conjugate sum
         separable_profile=nd.profile if w.is_separable else None,
         convex=True,
+        memo_token=next(_DUAL_TOKENS) if w.is_separable else None,
     )
 
 
@@ -694,6 +627,8 @@ def verify_identities(u: WeightFunction, points,
     including boundary probes (some x_j = 0) and the origin.
     """
     w_dual = dual_weight(u, cfg)
+    for w in (u, w_dual):
+        prefetch_sups(log_image(w), points, cfg, T_FLOOR)
     pts = []
     lhs = []
     rhs = []
@@ -740,6 +675,7 @@ def divergence_profile(u: WeightFunction, directions, radii,
         raise ValueError("directions must lie in [0, inf)^n")
     dirs = dirs / norms[:, None]
 
+    prefetch_sups(log_image(u), [r * d for r in radii for d in dirs], cfg, T_FLOOR)
     rows = []
     for r in radii:
         ratios = [log_conj(u, r * d, cfg) / r for d in dirs]

@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional
 import numpy as np
 
 from .config import DEFAULT, NumericsConfig
-from .fenchel import log_image, scale_fn, truncated_sup
+from .fenchel import log_image, prefetch_sups, scale_fn, truncated_sup
 from .laplace import exp_in_range, laplace_integral, make_sublevel_spec, sublevel_volume
 from .weights import WeightFunction
 
@@ -211,8 +211,11 @@ class MomentTable(namedtuple("MomentTable", "phi_label n max_degree entries")):
 
 def moment_table(phi: WeightFunction, max_degree: int,
                  cfg: NumericsConfig = DEFAULT) -> MomentTable:
+    alphas = list(iter_indices(phi.n, max_degree))
+    prefetch_sups(scale_fn(log_image(phi), 2.0),
+                  2.0 * np.array([a.shifted() for a in alphas], dtype=np.float64), cfg)
     entries = {}
-    for alpha in iter_indices(phi.n, max_degree):
+    for alpha in alphas:
         entries[alpha] = moment(phi, alpha, cfg)
     return MomentTable(
         phi_label=phi.label, n=phi.n, max_degree=max_degree, entries=entries

@@ -97,6 +97,7 @@ class WeightFunction:
     profile, if any) and ``convex``: a positive sum of power terms and a
     conjugate (a sup of affine functions, and even) are convex and monotone
     on [0, inf)^n. A weight given only by an evaluator is never assumed so.
+    ``memo_token`` names a separable numeric dual in memo keys.
     """
 
     n: int
@@ -106,6 +107,7 @@ class WeightFunction:
     grid_eval: Optional[Callable[[Sequence[np.ndarray]], np.ndarray]] = None
     separable_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
     convex: bool = False
+    memo_token: Optional[int] = None
 
     def symmetrized(self, x: np.ndarray) -> np.ndarray:
         """g(x) = eval(|x_1|, ..., |x_n|), even in each coordinate exactly."""

@@ -244,6 +244,8 @@ def test_face_probe_past_the_node_budget_exits_3(tmp_path, capsys):
     assert run_cli(["moments", "--weight-preset", "fock:9", "--degree", "1",
                     "--out", str(tmp_path)]) == 3
     assert "face probe needs 13951514882 nodes" in capsys.readouterr().err
+    # the moment table is written after the checks, so a failed run leaves none
+    assert list(tmp_path.glob("moments_table.*")) == []
 
 
 @pytest.mark.parametrize("n,degree", [(1, 8), (2, 4)])

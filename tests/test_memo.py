@@ -77,18 +77,19 @@ def test_separable_integrals_sum_each_axis_coordinate_once(memo, monkeypatch, fo
 
 
 def test_separable_sups_solve_one_line_per_axis_coordinate(memo, monkeypatch, fock2):
-    lines = []
-    inner = fenchel._sup_line
+    rows = []
+    inner = fenchel._sup_lines
 
-    def counting(*args, **kwargs):
-        lines.append(args)
-        return inner(*args, **kwargs)
+    def counting(prof, ys, *args, **kwargs):
+        rows.extend(ys)
+        return inner(prof, ys, *args, **kwargs)
 
-    monkeypatch.setattr(fenchel, "_sup_line", counting)
+    monkeypatch.setattr(fenchel, "_sup_lines", counting)
     fd.moment_table(fock2, 4)
     fd.moment_table(fd.dual_weight(fock2), 4)
-    # fifteen sups at y = 2 (alpha + 1); their coordinates take five values
-    assert len(lines) == 5
+    # fifteen sups at y = 2 (alpha + 1); their coordinates take five values,
+    # solved as the rows of one batch
+    assert sorted(rows) == [2.0, 4.0, 6.0, 8.0, 10.0]
 
 
 def test_distinct_inputs_never_alias(memo, power4):

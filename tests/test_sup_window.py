@@ -14,10 +14,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fockdual as fd
-from fockdual import cli, fenchel
+from fockdual import _supline, cli, fenchel
+from fockdual._supline import _fine_nodes, _sup_line
 from fockdual.config import CONJ_STEP, T_FLOOR, by_dim
-from fockdual.fenchel import (_fine_nodes, _sup_line, log_image, scale_fn, symmetrized_fn,
-                              truncated_sup)
+from fockdual.fenchel import log_image, scale_fn, symmetrized_fn, truncated_sup
 
 SEP1_WEIGHT = Path(__file__).resolve().parents[1] / "fdbench" / "weights" / "sep1.json"
 CFG = fd.DEFAULT
@@ -83,7 +83,7 @@ def test_window_evaluates_few_fine_nodes(monkeypatch):
             return built[-1]
         return wrapper
 
-    monkeypatch.setattr(fenchel, "_fine_nodes", building(_fine_nodes))
+    monkeypatch.setattr(_supline, "_fine_nodes", building(_fine_nodes))
     monkeypatch.setattr(np, "linspace", building(np.linspace))
     prof = log_image(fd.make_fock(1)).axis_profiles[0]
     step = by_dim(CONJ_STEP, 1)
@@ -96,13 +96,14 @@ def test_window_evaluates_few_fine_nodes(monkeypatch):
             return y * t - prof(t)
 
         _, _, lo, hi = _sup_line(counting, step, floor, concave=True)
+        assert built  # the fine passes go through the patched builder
         intervals = 1 << max(1, math.ceil(math.log2((hi - lo) / step)))
         fine_step = (hi - lo) / intervals
         sizes = [t.size for t in inputs]
         # the last call is the last fine pass: two strides either side
         assert sizes[-1] <= 4 * 0.25 / fine_step + 8
         assert sizes[-1] < (intervals + 1) / 10
-        assert sizes[-1] <= 4 * fenchel._STRIDE + 8
+        assert sizes[-1] <= 4 * _supline._STRIDE + 8
         # every fine node built is evaluated
         read = [t for t in inputs if any(t is b for b in built)]
         assert sum(b.size for b in built) <= sum(t.size for t in read)
@@ -181,8 +182,8 @@ def test_span_max_on_a_cut_edge_widens_to_the_window():
     assert _bits(*got) == _bits(*oracle)
     assert abs(got[1] - 0.2) < 1e-3
     # the span, then the window; never the whole grid
-    assert sizes[-2] <= 4 * fenchel._STRIDE + 8
-    assert 4 * fenchel._STRIDE + 8 < sizes[-1] < count
+    assert sizes[-2] <= 4 * _supline._STRIDE + 8
+    assert 4 * _supline._STRIDE + 8 < sizes[-1] < count
 
 
 def test_convexity_follows_the_construction(nonsmooth_convex):
