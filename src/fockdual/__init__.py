@@ -12,9 +12,6 @@ from .duality import (
     inverse_map,
     isomorphism_bound_check,
     k_condition_scan,
-    monomial_orthogonality_check,
-    norm_sq,
-    random_sequence,
     roundtrip_ulp_error,
     stirling_identity_check,
 )
@@ -66,7 +63,6 @@ from .weights import (
     PowerTerm,
     WeightFunction,
     WeightSpecError,
-    convexity_violation,
     make_fock,
     make_separable_power,
     parse_preset,

@@ -470,7 +470,7 @@ def cmd_duality(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
     note = f", skipped={skipped} indices past the float range" if skipped else ""
     # the round trip of the dense scale vector, each entry scaled into [0.5, 1)
     # by a power of two (exact), so that its image stays in the float range
-    b = duality.CoefficientSequence.dense(
+    b = duality.CoefficientSequence(
         w.n, run.max_degree, np.where(normal, np.frexp(scale)[0], 0.0), np.zeros(len(scale)))
     ulp_worst = duality.roundtrip_ulp_error(b, table)
     # ln r_alpha once more, through the map scale as stored

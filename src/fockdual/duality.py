@@ -1,5 +1,5 @@
-"""Coefficient-level duality: norms, the diagonal transform pair, the
-Stirling envelope, the volume-product condition and the operator bounds.
+"""Coefficient-level duality: the diagonal transform pair, the Stirling
+envelope, the volume-product condition and the operator bounds.
 
 A continuous functional with Riesz representer sum b_alpha z^alpha has
 transform coefficients d_alpha = c_alpha(phi) conj(b_alpha) / alpha!; the
@@ -10,150 +10,34 @@ so the monomials are orthogonal and the pair is diagonal: its squared
 operator norms are max r_alpha and max 1 / r_alpha, with
 ln r_alpha = ln c_alpha + ln c*_alpha - 2 ln alpha!. The operator bounds
 compare these in log space, from the moment tables alone, at any degree.
-The norms of a given sequence exponentiate each term, so a norm whose
-terms pass the float range raises ValueError.
-
-Every map and norm takes one sequence or a batch of them (`random_sequence`
-with ``count``) and gives one value per sequence.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
-from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .config import DEFAULT, NumericsConfig
-from .fenchel import dual_weight, log_image, prefetch_sups, scale_fn, truncated_sup
-from .laplace import laplace_integral, make_sublevel_spec, sublevel_volume
-from .moments import LN_2PI, MomentTable, MultiIndex, index_positions
+from .fenchel import dual_weight, log_image, prefetch_sups, truncated_sup
+from .laplace import make_sublevel_spec, sublevel_volume
+from .moments import LN_2PI, MomentTable, MultiIndex
 from .weights import WeightFunction
 
 
 class CoefficientSequence(namedtuple("CoefficientSequence", "n truncation_degree re im")):
-    """Finite coefficient family alpha -> complex; absent entries are zero.
-
-    Stored dense: read-only real and imaginary float arrays ``re`` and
-    ``im`` with one entry per iter_indices(n, truncation_degree) index, in
-    that order. Entries that are exactly zero count as absent. A batch of B
-    sequences holds (B, N) arrays, one row per sequence; ``items``, ``get``
-    and the JSON form read a single sequence. Two sequences are equal when
-    their shapes and arrays are.
-    """
+    """Coefficients alpha -> re + i im with read-only float arrays, one entry
+    per iter_indices(n, truncation_degree) index, in that order. An entry
+    that is exactly zero is absent."""
 
     __slots__ = ()
 
-    def __new__(cls, n: int, coeffs: dict, truncation_degree: int):
-        positions = index_positions(n, truncation_degree)
-        re = np.zeros(len(positions))
-        im = np.zeros(len(positions))
-        for alpha, c in coeffs.items():
-            if alpha.n != n:
-                raise ValueError("coefficient index dimension mismatch")
-            if alpha.degree > truncation_degree:
-                raise ValueError(
-                    f"index {alpha.components} exceeds truncation degree"
-                )
-            c = complex(c)
-            re[positions[alpha]] = c.real
-            im[positions[alpha]] = c.imag
-        return cls.dense(n, truncation_degree, re, im)
-
-    @classmethod
-    def dense(cls, n: int, truncation_degree: int, re: np.ndarray,
-              im: np.ndarray) -> "CoefficientSequence":
-        """A sequence from arrays already in iter_indices order."""
+    def __new__(cls, n: int, truncation_degree: int, re: np.ndarray, im: np.ndarray):
         re.flags.writeable = False
         im.flags.writeable = False
-        return tuple.__new__(cls, (n, truncation_degree, re, im))
-
-    def __eq__(self, other):
-        if not isinstance(other, CoefficientSequence):
-            return NotImplemented
-        return (self.n == other.n
-                and self.truncation_degree == other.truncation_degree
-                and np.array_equal(self.re, other.re)
-                and np.array_equal(self.im, other.im))
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    @property
-    def coeffs(self) -> dict:
-        return dict(self.items())
-
-    def items(self) -> list[tuple[MultiIndex, complex]]:
-        """The nonzero (index, coefficient) pairs in index order."""
-        alphas = list(index_positions(self.n, self.truncation_degree))
-        return [
-            (alphas[i], complex(self.re[i], self.im[i]))
-            for i in np.flatnonzero((self.re != 0) | (self.im != 0))
-        ]
-
-    def get(self, alpha: MultiIndex) -> complex:
-        i = index_positions(self.n, self.truncation_degree).get(alpha)
-        return 0j if i is None else complex(self.re[i], self.im[i])
-
-    def to_json(self, path) -> None:
-        payload = {
-            "n": self.n,
-            "degree": self.truncation_degree,
-            "terms": [
-                {"alpha": list(a.components), "re": c.real, "im": c.imag}
-                for a, c in self.items()
-            ],
-        }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-    @classmethod
-    def from_json(cls, path) -> "CoefficientSequence":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        coeffs = {
-            MultiIndex(tuple(t["alpha"])): complex(t["re"], t["im"])
-            for t in payload["terms"]
-        }
-        return cls(n=payload["n"], coeffs=coeffs, truncation_degree=payload["degree"])
-
-
-def random_sequence(n: int, degree: int, rng: np.random.Generator,
-                    count: Optional[int] = None) -> CoefficientSequence:
-    """Dense standard-complex-normal coefficients up to the given degree; one
-    (re, im) draw per index, in index order. With ``count``, a batch of that
-    many sequences: the same draws as ``count`` successive single calls."""
-    shape = (len(index_positions(n, degree)), 2)
-    z = rng.standard_normal(shape if count is None else (count,) + shape) / math.sqrt(2.0)
-    return CoefficientSequence.dense(n, degree, z[..., 0], z[..., 1])
-
-
-def _each(c: CoefficientSequence, values: list):
-    """The values of a batch, one per row, or the one value of a sequence."""
-    return values if c.re.ndim == 2 else values[0]
-
-
-def _exp_sums(c: CoefficientSequence, exponent) -> list[float]:
-    """Per sequence, sum e^{exponent(ln|c_alpha|, positions)} over its nonzero
-    entries. math.log and math.exp entry by entry: their numpy counterparts
-    round differently. numpy's reduction is pairwise, and each row's terms are
-    sorted by magnitude and summed as their own array (never padded, which
-    would move the pairwise blocks), so wildly scaled terms stay well
-    conditioned."""
-    mag = np.hypot(np.atleast_2d(c.re), np.atleast_2d(c.im))  # abs(complex)
-    nonzero = mag != 0
-    cols = np.nonzero(nonzero)[1]
-    ln_mag = np.fromiter(map(math.log, mag[nonzero].tolist()), float, len(cols))
-    try:
-        terms = np.fromiter(map(math.exp, exponent(ln_mag, cols).tolist()), float, len(cols))
-    except OverflowError:
-        raise ValueError(
-            f"a weighted norm at degree {c.truncation_degree} exceeds the float range"
-        ) from None
-    ends = np.cumsum(np.count_nonzero(nonzero, axis=1)).tolist()
-    return [float(np.sort(terms[a:b])[::-1].sum()) for a, b in zip([0] + ends, ends)]
+        return super().__new__(cls, n, truncation_degree, re, im)
 
 
 def _dense_table(c: CoefficientSequence, table: MomentTable):
@@ -162,19 +46,13 @@ def _dense_table(c: CoefficientSequence, table: MomentTable):
     return table.dense_vectors(c.truncation_degree)
 
 
-def norm_sq(c: CoefficientSequence, table: MomentTable) -> float | list[float]:
-    """Squared weighted norm sum |a_alpha|^2 c_alpha (diagonal Gram matrix)."""
-    ln_c = _dense_table(c, table)[0]
-    return _each(c, _exp_sums(c, lambda ln_m, j: 2.0 * ln_m + ln_c[j]))
-
-
 def _conj_scaled(c: CoefficientSequence, scale: np.ndarray, op) -> CoefficientSequence:
     """conj(c_alpha) op scale_alpha on the present entries; an absent entry
     stays zero whatever its scale (0, or inf past the float range)."""
     re, im = c.re.copy(), -c.im
     op(re, scale, out=re, where=c.re != 0)
     op(im, scale, out=im, where=c.im != 0)
-    return CoefficientSequence.dense(c.n, c.truncation_degree, re, im)
+    return CoefficientSequence(c.n, c.truncation_degree, re, im)
 
 
 def forward_map(b: CoefficientSequence, table_phi: MomentTable) -> CoefficientSequence:
@@ -186,16 +64,6 @@ def inverse_map(d: CoefficientSequence, table_phi: MomentTable) -> CoefficientSe
     """Inverse g_alpha = conj(d_alpha) alpha! / c_alpha; dividing by the same
     stored scale makes inverse_map(forward_map(b)) exact to rounding."""
     return _conj_scaled(d, _dense_table(d, table_phi)[2], np.divide)
-
-
-def direct_forward_norm_sq(b: CoefficientSequence, table_phi: MomentTable,
-                           table_phi_star: MomentTable) -> float | list[float]:
-    """||forward(b)||^2 in the dual weight's norm, summed straight from b:
-    sum e^{2 (ln c_alpha + ln|b_alpha| - ln alpha!) + ln c*_alpha}."""
-    ln_c, ln_fact, _ = _dense_table(b, table_phi)
-    ln_c_star = _dense_table(b, table_phi_star)[0]
-    return _each(b, _exp_sums(
-        b, lambda ln_m, j: 2.0 * (ln_c[j] + ln_m - ln_fact[j]) + ln_c_star[j]))
 
 
 class StirlingReport(NamedTuple):
@@ -309,45 +177,13 @@ def isomorphism_bound_check(table_phi: MomentTable, table_phi_star: MomentTable,
                        inverse_ok=float(np.max(-ln_r)) <= ln_c_inv + tol)
 
 
-def roundtrip_ulp_error(b: CoefficientSequence, table_phi: MomentTable) -> float | list[float]:
+def roundtrip_ulp_error(b: CoefficientSequence, table_phi: MomentTable) -> float:
     """Max per-component ulp distance of inverse(forward(b)) from b."""
     back = inverse_map(forward_map(b, table_phi), table_phi)
     worst = 0.0
     for rec, ref in ((back.re, b.re), (back.im, b.im)):
         # np.spacing(|x|) is math.ulp(|x|); a NaN entry, never recovered,
-        # makes its sequence's error NaN (np.maximum propagates it)
+        # makes the error NaN (np.maximum propagates it)
         ulp = np.where(ref != 0, np.spacing(np.abs(ref)), math.ulp(1.0))
-        worst = np.maximum(worst, np.max(np.abs(rec - ref) / ulp, axis=-1))
-    return _each(b, np.atleast_1d(worst).tolist())
-
-
-def monomial_orthogonality_check(phi: WeightFunction, alpha: MultiIndex,
-                                 beta: MultiIndex,
-                                 cfg: NumericsConfig = DEFAULT,
-                                 angular_nodes: int = 64) -> float:
-    """|inner product of z^alpha and z^beta| by polar product quadrature.
-
-    The integrand splits into per-axis angular harmonics times a radial
-    factor; the uniform angular sums vanish to rounding whenever the
-    harmonics differ, for any weight of the coordinate moduli.
-    """
-    if alpha == beta:
-        raise ValueError("orthogonality check needs distinct indices")
-    if alpha.n != phi.n or beta.n != phi.n:
-        raise ValueError("multi-index dimension mismatch")
-    k = np.asarray(alpha.components) - np.asarray(beta.components)
-    if angular_nodes <= int(np.max(np.abs(k))):
-        raise ValueError("angular grid too coarse for these harmonics")
-    theta = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
-    angular = 1.0
-    for kj in k:
-        angular *= abs(np.sum(np.exp(1j * kj * theta))) * (2.0 * math.pi / angular_nodes)
-    # radial factor via the log substitution: exponent <a+b+2, t> - 2 phi[e]
-    y = (
-        np.asarray(alpha.components, dtype=np.float64)
-        + np.asarray(beta.components, dtype=np.float64)
-        + 2.0
-    )
-    h = scale_fn(log_image(phi), 2.0)
-    radial = laplace_integral(h, y, cfg)
-    return float(angular * math.exp(radial.ln_value))
+        worst = np.maximum(worst, np.max(np.abs(rec - ref) / ulp))
+    return float(worst)

@@ -318,14 +318,3 @@ def validate_class_V(phi: WeightFunction) -> ClassVReport:
         superlinear_ok=super_viol <= 0.0,
         worst_violation=max(sym_viol, mono_viol, super_viol, 0.0),
     )
-
-
-def convexity_violation(phi: WeightFunction, n_triples: int = 400,
-                        box_radius: float = 6.0, seed: int = 0) -> float:
-    """Worst midpoint-convexity violation of the symmetrized weight on random triples."""
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-box_radius, box_radius, size=(n_triples, phi.n))
-    y = rng.uniform(-box_radius, box_radius, size=(n_triples, phi.n))
-    mid = phi.symmetrized((x + y) / 2.0)
-    avg = (phi.symmetrized(x) + phi.symmetrized(y)) / 2.0
-    return float(np.max(mid - avg))

@@ -4,7 +4,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fockdual import WeightFunction, make_fock, make_separable_power
+from fockdual import (
+    CoefficientSequence,
+    WeightFunction,
+    laplace_integral,
+    log_image,
+    make_fock,
+    make_separable_power,
+)
+from fockdual.fenchel import scale_fn
 from fockdual.moments import iter_indices
 
 
@@ -104,24 +112,63 @@ def _oracle_roundtrip_ulp(items, table):
     return worst
 
 
-def _oracle_direct_norm(items, table, table_star):
-    return _desc_sum(
-        math.exp(2.0 * (table.ln(a) + math.log(abs(v)) - a.log_factorial())
-                 + table_star.ln(a))
-        for a, v in items if abs(v) > 0
-    )
+def _oracle_items(c):
+    """The nonzero (index, coefficient) pairs of a dense sequence, in index order."""
+    return [(alpha, complex(re, im))
+            for alpha, re, im in zip(iter_indices(c.n, c.truncation_degree), c.re, c.im)
+            if re != 0 or im != 0]
+
+
+def _oracle_sequence(n, degree, coeffs):
+    """The dense sequence of an {index: coefficient} dict; other entries are 0."""
+    positions = {alpha: i for i, alpha in enumerate(iter_indices(n, degree))}
+    re, im = np.zeros(len(positions)), np.zeros(len(positions))
+    for alpha, v in coeffs.items():
+        v = complex(v)
+        re[positions[alpha]], im[positions[alpha]] = v.real, v.imag
+    return CoefficientSequence(n, degree, re, im)
 
 
 @pytest.fixture(scope="session")
 def duality_oracle():
     """The per-index `math` formulas of the coefficient maps and norms, taking
     (index, coefficient) pairs: the oracle the dense arrays are compared
-    against bit for bit."""
+    against bit for bit. ``items`` and ``sequence`` convert between those
+    pairs (or an {index: coefficient} dict) and a dense sequence."""
     return SimpleNamespace(
         random_sequence=_oracle_random_sequence, norm_sq=_oracle_norm_sq,
         forward=_oracle_forward, inverse=_oracle_inverse,
-        roundtrip_ulp=_oracle_roundtrip_ulp, direct_norm=_oracle_direct_norm,
+        roundtrip_ulp=_oracle_roundtrip_ulp,
+        items=_oracle_items, sequence=_oracle_sequence,
     )
+
+
+def _monomial_orthogonality(phi, alpha, beta, angular_nodes=64):
+    """|inner product of z^alpha and z^beta| by polar product quadrature.
+
+    The integrand splits into per-axis angular harmonics times a radial
+    factor; the uniform angular sums vanish to rounding whenever the
+    harmonics differ, for any weight of the coordinate moduli.
+    """
+    if alpha == beta:
+        raise ValueError("orthogonality check needs distinct indices")
+    k = np.asarray(alpha.components) - np.asarray(beta.components)
+    assert angular_nodes > int(np.max(np.abs(k))), "angular grid too coarse"
+    theta = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
+    angular = 1.0
+    for kj in k:
+        angular *= abs(np.sum(np.exp(1j * kj * theta))) * (2.0 * math.pi / angular_nodes)
+    # radial factor via the log substitution: exponent <a+b+2, t> - 2 phi[e]
+    y = np.asarray(alpha.components, dtype=np.float64) + np.asarray(beta.components) + 2.0
+    radial = laplace_integral(scale_fn(log_image(phi), 2.0), y)
+    return float(angular * math.exp(radial.ln_value))
+
+
+@pytest.fixture(scope="session")
+def monomial_orthogonality():
+    """The polar-quadrature inner product of two distinct monomials
+    (`_monomial_orthogonality`): the oracle for the diagonal Gram matrix."""
+    return _monomial_orthogonality
 
 
 def _fenchel_young_loop(f, conj, seed):

@@ -142,28 +142,31 @@ def test_criterion_6_stirling_envelope(fock1, fock2):
                    f"r(0) = {value:.5f} = 0.85033 +- 3e-3")
 
 
-def test_criterion_7_isomorphism_bounds(fock1, table_fock1):
+def test_criterion_7_isomorphism_bounds(fock1, table_fock1, duality_oracle):
+    oracle = duality_oracle
     table_star = fd.moment_table(fd.dual_weight(fock1), 10)
     alphas = [MultiIndex((a,)) for a in range(1, 101)]
     K = fd.k_condition_scan(fock1, alphas).K_hat
     rep = fd.isomorphism_bound_check(table_fock1, table_star, K)
     # the exact operator norms bound the ratios of 100 random sequences
-    b = fd.random_sequence(1, 10, np.random.default_rng(0), count=100)
-    ln_ratio = (np.log(fd.norm_sq(fd.forward_map(b, table_fock1), table_star))
-                - np.log(fd.norm_sq(b, table_fock1)))
-    violations = int(np.sum(ln_ratio > np.max(rep.ln_r) + 1e-12)
-                     + np.sum(-ln_ratio > np.max(-rep.ln_r) + 1e-12))
-    worst_ulp = max(fd.roundtrip_ulp_error(b, table_fock1))
+    ln_fwd, ln_inv = float(np.max(rep.ln_r)), float(np.max(-rep.ln_r))
+    rng = np.random.default_rng(0)
+    violations, worst_ulp = 0, 0.0
+    for _ in range(100):
+        b = oracle.sequence(1, 10, oracle.random_sequence(1, 10, rng))
+        d = fd.forward_map(b, table_fock1)
+        ln_ratio = (math.log(oracle.norm_sq(oracle.items(d), table_star))
+                    - math.log(oracle.norm_sq(oracle.items(b), table_fock1)))
+        violations += (ln_ratio > ln_fwd + 1e-12) + (-ln_ratio > ln_inv + 1e-12)
+        worst_ulp = max(worst_ulp, fd.roundtrip_ulp_error(b, table_fock1))
     ok = rep.forward_ok and rep.inverse_ok and violations == 0 and worst_ulp <= 4.0
     verdict(7, ok, f"both bounds hold at K = {K:.4f}; {violations} of 100 sequences "
                    f"exceed the exact norms, round-trip max {worst_ulp:.1f} ulp <= 4")
 
 
-def test_criterion_8_parseval_cross_check(table_fock1):
-    b = fd.CoefficientSequence(
-        1, {MultiIndex((0,)): 1 + 0j, MultiIndex((1,)): 1 + 0j}, 10
-    )
-    norm = fd.norm_sq(b, table_fock1)
+def test_criterion_8_parseval_cross_check(table_fock1, duality_oracle):
+    norm = duality_oracle.norm_sq([(MultiIndex((0,)), 1 + 0j), (MultiIndex((1,)), 1 + 0j)],
+                                  table_fock1)
     # direct quadrature of int |1 + z|^2 e^{-|z|^2} over the plane
     count = 1601
     x = np.linspace(-8.0, 8.0, count)
@@ -179,14 +182,14 @@ def test_criterion_8_parseval_cross_check(table_fock1):
             f"norm {norm:.8f} vs quadrature {direct:.8f}, rel {rel:.1e} <= 1e-5")
 
 
-def test_criterion_9_orthogonality(fock1, power4_1):
+def test_criterion_9_orthogonality(fock1, power4_1, monomial_orthogonality):
     worst = 0.0
     for w in (fock1, power4_1):
         table = fd.moment_table(w, 5)
         idx = list(iter_indices(1, 5))
         for i, a in enumerate(idx):
             for b in idx[i + 1:]:
-                v = fd.monomial_orthogonality_check(w, a, b)
+                v = monomial_orthogonality(w, a, b)
                 scale = math.exp(0.5 * (table.ln(a) + table.ln(b)))
                 worst = max(worst, v / scale)
     verdict(9, worst <= 1e-8,
