@@ -435,7 +435,7 @@ def cmd_duality(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
     ]
     krep = duality.k_condition_scan(w, scan_alphas, cfg, phi_dual=w_star)
     result.add("k_condition", all(p > 0 for p in krep.products.values()),
-               f"K_hat={krep.K_hat!r}")
+               f"K_hat={krep.K_hat!r}" + ("" if scan_alphas else ", scanned=0 indices"))
     result.table(
         "duality_kscan", [f"alpha_{j + 1}" for j in range(w.n)] + ["product"],
         [a.components + (p,) for a, p in sorted(krep.products.items())],
@@ -554,6 +554,12 @@ def main(argv=None) -> int:
         run = RunConfig(**opts)
         w = load_weight(run)
         cfg = NumericsConfig(run.refine)
+        try:
+            Path(run.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: --out {run.out_dir}: cannot make the report directory "
+                  f"({exc.strerror or exc})", file=sys.stderr)
+            return 2
         if command == "all":
             results = run_all(w, cfg, run)
         else:

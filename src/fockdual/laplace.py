@@ -64,7 +64,8 @@ def _bounding_box(spec: SublevelSpec, probe_per_axis: int = 17) -> tuple[np.ndar
     probing both faces of an axis in one call (a numeric dual's table grows on
     the largest |r| read: for a log image the hi face, as in a one-face probe).
     A face holds 2 probe_per_axis^(n - 1) nodes; past `TENSOR_NODES_MAX` it
-    raises a ValueError before any is built."""
+    raises a ValueError before any is built. A face of a keyed separable 2-D
+    ``spec.h`` is decided from per-axis parts where they can (`_separable_faces`)."""
     n = spec.h.n
     face_nodes = 2 * probe_per_axis ** (n - 1)
     if face_nodes > TENSOR_NODES_MAX:
@@ -75,9 +76,11 @@ def _bounding_box(spec: SublevelSpec, probe_per_axis: int = 17) -> tuple[np.ndar
     for _ in range(_MAX_EXPANSIONS):
         grew = False
         for j in range(n):
-            axes = [np.array([lo[i], hi[i]]) if i == j
-                    else np.linspace(lo[i], hi[i], probe_per_axis) for i in range(n)]
-            member = np.moveaxis(_membership(spec, axes), j, 0).reshape(2, -1).any(axis=1)
+            member = _separable_faces(spec, j, lo, hi, probe_per_axis) if _per_axis(spec) else None
+            if member is None:
+                axes = [np.array([lo[i], hi[i]]) if i == j
+                        else np.linspace(lo[i], hi[i], probe_per_axis) for i in range(n)]
+                member = np.moveaxis(_membership(spec, axes), j, 0).reshape(2, -1).any(axis=1)
             width = hi[j] - lo[j]
             if member[1]:
                 hi[j] += 0.5 * width
@@ -118,63 +121,130 @@ def _spread(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.maximum(np.maximum(e[:-2], e[1:-1]), e[2:]))
 
 
-def _threshold_cells(c: np.ndarray, v: np.ndarray) -> tuple[int, int]:
-    """`_cells` of the grid member[i, k] = v[k] <= c[i], from the two vectors.
+class _AxisPart(NamedTuple):
+    """A vector, its summands' summed moduli and their max (finite only if every
+    value is), its stable sort order and sorted values, and `_spread`, also sorted."""
+
+    values: np.ndarray
+    modulus: np.ndarray
+    widest: float
+    order: np.ndarray
+    sorted: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    lo_sorted: np.ndarray
+    hi_sorted: np.ndarray
+
+
+def _part(values: np.ndarray, modulus: np.ndarray) -> _AxisPart:
+    order = np.argsort(values, kind="stable")
+    lo, hi = _spread(values)
+    return _AxisPart(values, modulus, float(np.max(modulus)), order, values[order],
+                     lo, hi, np.sort(lo), np.sort(hi))
+
+
+def _threshold_cells(c: np.ndarray, c_sorted: np.ndarray, at: np.ndarray,
+                     v: _AxisPart) -> tuple[int, int]:
+    """`_cells` of the grid member[i, k] = v[k] <= c[i], from c, its sorted
+    values, at = searchsorted(v.sorted, c, "right") and v's part.
 
     Cell (i, k) differs from a neighbour along axis 0 iff v[k] lies in
     (min, max] of c over i and its neighbours (case A), and along axis 1
     iff c[i] lies in [min, max) of v over k and its neighbours (case B).
-    Both cases are counted by binary search; the cells of A, as many as
+    Both cases are counted by binary search (searchsorted is monotone, so
+    row i of A spans the `_spread` of ``at``); the cells of A, as many as
     the surface has, are listed and tested for B.
     """
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    count = int(np.searchsorted(sv, c, "right").sum())
-    c_lo, c_hi = _spread(c)
-    first = np.searchsorted(sv, c_lo, "right")
-    lengths = np.searchsorted(sv, c_hi, "right") - first
-    v_lo, v_hi = _spread(v)
-    sc = np.sort(c)
-    in_b = int((np.searchsorted(sc, v_hi, "left") - np.searchsorted(sc, v_lo, "left")).sum())
+    first, last = _spread(at)
+    lengths = last - first
+    in_b = int(np.searchsorted(c_sorted, v.hi_sorted, "left").sum()
+               - np.searchsorted(c_sorted, v.lo_sorted, "left").sum())
     # the cells of A: row i holds the sorted positions first[i], ...,
     # first[i] + lengths[i] - 1
     rows = np.repeat(np.arange(c.shape[0]), lengths)
     offsets = np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
-    ks = order[offsets + np.arange(rows.shape[0])]
+    ks = v.order[offsets + np.arange(rows.shape[0])]
     ci = c[rows]
-    in_both = int(np.count_nonzero((v_lo[ks] <= ci) & (ci < v_hi[ks])))
-    return count, int(lengths.sum()) + in_b - in_both
+    in_both = int(np.count_nonzero((v.lo[ks] <= ci) & (ci < v.hi[ks])))
+    return int(at.sum()), int(lengths.sum()) + in_b - in_both
 
 
-def _separable_cells(spec: SublevelSpec,
-                     axes: Sequence[np.ndarray]) -> Optional[tuple[int, int]]:
-    """`_cells` of the 2-D membership grid of a keyed separable function from
-    one vector per axis, or None when a cell is too close to the threshold
-    to be certified (see `sublevel_volume`)."""
-    h, y = spec.h, spec.y
-    prof = [f(a) for f, a in zip(h.axis_profiles, axes)]
-    tilt_terms = [-y[j] * a for j, a in enumerate(axes)]
-    c = (spec.p - spec.hstar_y) - (prof[0] + tilt_terms[0])
-    v = prof[1] + tilt_terms[1]
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(v))):
-        return None
-    # the grid path's gap float rounds at most m times: 2 * terms sums of
-    # the power terms of both axes (`weights.PowerTerm.add_on_grid`), one
-    # product per scaling, then h*(y) and the two tilts; each vector here
-    # rounds fewer
-    terms, scalings = key_terms(h.key)
+def _per_axis(spec: SublevelSpec) -> bool:
+    """Whether ``spec.h`` takes the per-axis parts of `sublevel_volume`."""
+    return spec.h.n == 2 and spec.h.key is not None and spec.h.axis_profiles is not None
+
+
+def _centres(lo: float, hi: float, cells: int) -> np.ndarray:
+    return lo + (hi - lo) / cells * (np.arange(cells) + 0.5)
+
+
+def _axis_part(spec: SublevelSpec, j: int, lo: float, hi: float, count: int,
+               centred: bool) -> _AxisPart:
+    """The part f(a) - y_j a of axis j on the ``count`` cell centres of
+    [lo, hi] (``centred``) or on ``np.linspace(lo, hi, count)``, memoized
+    (key space ``"volume_part"``) on the keyed ``spec.h`` and the axis's
+    coordinate, box and nodes: a keyed function has one profile on every axis."""
+    y = spec.y[j]
+
+    def compute() -> _AxisPart:
+        a = _centres(lo, hi, count) if centred else np.linspace(lo, hi, count)
+        prof = spec.h.axis_profiles[j](a)
+        tilt_term = -y * a
+        return _part(prof + tilt_term, np.abs(prof) + np.abs(tilt_term))
+
+    return memoized(spec.h.key, ("volume_part", value_bytes(y), value_bytes([lo, hi]),
+                                 count, centred), compute)
+
+
+def _tolerance(spec: SublevelSpec, modulus) -> np.ndarray:
+    """Twice the bound on how far v - c may lie from the grid path's gap float,
+    for the summed moduli ``modulus`` of two parts (see `sublevel_volume`)."""
+    # the grid path's gap float rounds at most m times: 2 * terms sums of the
+    # power terms of both axes (`weights.PowerTerm.add_on_grid`), one product
+    # per scaling, then h*(y) and the two tilts; each part rounds fewer
+    terms, scalings = key_terms(spec.h.key)
     m = 2 * terms + scalings + 3
-    u = np.finfo(np.float64).eps / 2
+    u = 2.0 ** -53  # the unit roundoff of float64
     # 2 gamma_m times the summed moduli of the inputs, with a safety factor
-    # of 2 (it also covers the rounding of c +- delta)
-    delta = 4 * (m * u / (1 - m * u)) * (
-        abs(spec.p) + abs(spec.hstar_y) + np.abs(prof[0]) + np.abs(tilt_terms[0])
-        + float(np.max(np.abs(prof[1]) + np.abs(tilt_terms[1]))))
-    sv = np.sort(v)
-    if np.any(np.searchsorted(sv, c + delta, "right")
-              > np.searchsorted(sv, c - delta, "left")):
+    # of 2 (it also covers the rounding of v - c)
+    return 4 * (m * u / (1 - m * u)) * (abs(spec.p) + abs(spec.hstar_y) + modulus)
+
+
+def _separable_faces(spec: SublevelSpec, j: int, lo: np.ndarray, hi: np.ndarray,
+                     probes: int) -> Optional[np.ndarray]:
+    """Membership of the lo and hi faces of axis j in 2-D: a face is a member iff
+    the least value of the other axis's probe part lies at or below its c, or
+    None when that value lies within the bound of either c."""
+    i = 1 - j
+    face = _axis_part(spec, j, lo[j], hi[j], 2, False)
+    probe = _axis_part(spec, i, lo[i], hi[i], probes, False)
+    least = float(probe.sorted[0])
+    c = [(spec.p - spec.hstar_y) - value for value in face.values.tolist()]
+    # a part that is not finite has an infinite or NaN bound, which decides nothing
+    if not all(math.isfinite(x) and abs(x - least) > _tolerance(spec, m + probe.widest)
+               for x, m in zip(c, face.modulus.tolist())):
         return None
-    return _threshold_cells(c, v)
+    return np.array([least <= x for x in c])
+
+
+def _separable_cells(spec: SublevelSpec, lo: np.ndarray, hi: np.ndarray,
+                     cells: int) -> Optional[tuple[int, int]]:
+    """`_cells` of the 2-D membership grid of a keyed separable function from
+    the cell parts of its two axes, or None when a cell is too close to the
+    threshold to be certified (see `sublevel_volume`)."""
+    p0, p1 = (_axis_part(spec, j, lo[j], hi[j], cells, True) for j in range(2))
+    k = spec.p - spec.hstar_y
+    c = k - p0.values
+    if not (math.isfinite(p1.widest) and np.all(np.isfinite(c))):
+        return None
+    at = np.searchsorted(p1.sorted, c, "right")
+    # the nearest v on either side of c[i]: p1.sorted[at - 1] <= c[i] < p1.sorted[at]
+    near = np.concatenate(([-np.inf], p1.sorted, [np.inf]))
+    if np.any(np.minimum(c - near[at], near[at + 1] - c)
+              <= _tolerance(spec, p0.modulus + p1.widest)):
+        return None
+    # x -> fl(k - x) is monotone, so c sorted is p0 sorted, mirrored
+    return _threshold_cells(c, k - p0.sorted[::-1], at, p1)
 
 
 def sublevel_volume(spec: SublevelSpec) -> VolumeEstimate:
@@ -191,19 +261,21 @@ def sublevel_volume(spec: SublevelSpec) -> VolumeEstimate:
 
     In 2-D, when ``spec.h`` is keyed and separable (`GridFn.key` and
     `GridFn.axis_profiles` set: log images, symmetrizations and scalings of
-    weights of separable terms), no 2-D array is built at all. With
-    part_j = f(a_j) - y_j a_j on each whole-grid axis a_j, c = (p - h*(y))
-    - part_0 and v = part_1, cell (i, k) is a member iff v[k] <= c[i]; the
-    count and the surface come from the sorted vectors by binary search
-    (`_threshold_cells`). v[k] - c[i] and the gap float of the grid path
-    are two float sums of the same float inputs (the power terms' values,
-    h*(y), the products y_j a_j, p), so they differ by at most 2 gamma_m
-    times the sum of the inputs' moduli, m the longer number of roundings
-    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 4.2).
-    If any v[k] lies within twice that bound of c[i], the volume falls back
-    to the grid path; otherwise every cell has the grid path's membership,
-    and the count and the surface are the whole-grid integers. This rests
-    on the arithmetic alone, not on convexity.
+    weights of separable terms), no 2-D array is built at all. The gap is
+    a sum of parts f(a_j) - y_j a_j on each axis's nodes a_j, each computed
+    once per process for its coordinate, box and nodes (`_axis_part`). With
+    c = (p - h*(y)) - part_0 and v = part_1 on the cell centres, cell (i, k)
+    is a member iff v[k] <= c[i]; the count and the surface come from the
+    sorted parts by binary search (`_threshold_cells`), and a bounding-box
+    face is decided alike (`_separable_faces`). v[k] - c[i] and the gap
+    float of the grid path are two float sums of the same float inputs (the
+    power terms' values, h*(y), the products y_j a_j, p), so they differ by
+    at most 2 gamma_m times the sum of the inputs' moduli, m the longer
+    number of roundings (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 4.2). If a deciding v[k] lies within twice that bound
+    of c[i], the face or the volume takes the grid path; otherwise it has
+    the grid path's membership, and the count and the surface are the
+    whole-grid integers. This rests on the arithmetic alone, not on convexity.
     """
     inputs = ("volume", value_bytes(spec.y), spec.p, spec.hstar_y, value_bytes(spec.argmax))
     est = memoized(spec.h.key, inputs, lambda: _sublevel_volume(spec, None, 0))
@@ -220,12 +292,9 @@ def _sublevel_volume(spec: SublevelSpec, resolution: Optional[int], seed: int) -
     if n > 3:
         return _monte_carlo_volume(spec, lo, hi, MC_SAMPLES, seed)
     cells = resolution if resolution is not None else by_dim(VOLUME_CELLS, n)
-    axes = [lo[j] + (hi[j] - lo[j]) / cells * (np.arange(cells) + 0.5) for j in range(n)]
-    counts = None
-    if n == 2 and spec.h.key is not None and spec.h.axis_profiles is not None:
-        counts = _separable_cells(spec, axes)
+    counts = _separable_cells(spec, lo, hi, cells) if _per_axis(spec) else None
     if counts is None:
-        counts = _cells(_membership(spec, axes))
+        counts = _cells(_membership(spec, [_centres(lo[j], hi[j], cells) for j in range(n)]))
     count, surface = counts
     cell_vol = float(np.prod(hi - lo)) / cells**n
     return VolumeEstimate(value=count * cell_vol, half_width=float(surface) * cell_vol)

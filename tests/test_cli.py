@@ -524,3 +524,39 @@ def test_cli_process_writes_the_in_process_reports(tmp_path, monkeypatch):
     match, mismatch, errors = filecmp.cmpfiles(tmp_path / "process", tmp_path / "in_process",
                                                names, shallow=False)
     assert not mismatch and not errors
+
+
+def test_python_m_fockdual_writes_the_module_cli_reports(tmp_path):
+    outs = []
+    for module in ("fockdual", "fockdual.cli"):
+        out = tmp_path / module
+        proc = subprocess.run([sys.executable, "-m", module, "all", "--weight-preset", "fock:1",
+                               "--degree", "2", "--out", str(out)],
+                              env=_src_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir()) and names
+    match, mismatch, errors = filecmp.cmpfiles(*outs, names, shallow=False)
+    assert not mismatch and not errors
+
+
+def test_out_naming_a_file_is_a_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run_cli(["sandwich", "--weight-preset", "fock:1", "--out", str(taken)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no check ran
+    assert err.startswith(f"error: --out {taken}: ") and "Traceback" not in err
+    assert taken.read_text() == ""
+
+
+def test_k_condition_over_no_index_says_so(tmp_path):
+    # at degree 1 no index of fock:2 has every component >= 1
+    for degree, detail in (("1", "K_hat=1.0, scanned=0 indices"), ("2", "K_hat=")):
+        out = tmp_path / degree
+        assert run_cli(["duality", "--weight-preset", "fock:2", "--degree", degree,
+                        "--out", str(out)]) == 0
+        rows = list(csv.reader((out / "duality_checks.csv").read_text().splitlines()))
+        (row,) = [r for r in rows if r[0] == "k_condition"]
+        assert row[2].startswith(detail) and ("scanned" in row[2]) == (degree == "1")
