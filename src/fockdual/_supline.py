@@ -80,8 +80,9 @@ def _sup_lines(prof: Callable[[np.ndarray], np.ndarray], ys, step: float,
     peaks; a max on an edge where a span cuts the grid widens the span
     (the window, then the whole grid). So every float is the whole grid's.
     Each pass is one ``prof`` call on the joined nodes of the rows taking
-    part: ``prof`` rounds a node as alone (numpy's elementwise arithmetic;
-    a 0-d call need not, see `_curvature`), so a row has a one-row call's floats.
+    part: ``prof`` rounds a node as alone (numpy's elementwise arithmetic on
+    an array; a 0-d call need not: a scalar ``r ** p``), so a row has a
+    one-row call's floats.
     """
     ys = np.asarray(ys, dtype=np.float64)
     out: list = [None] * ys.size

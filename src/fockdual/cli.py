@@ -199,13 +199,16 @@ def cmd_conjugate(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
     # dual weight table on [0, 4]^n, scan-based, against the closed form
     nodes_per_axis = {1: 65, 2: 33}.get(w.n, 9)
     axis = np.linspace(0.0, 4.0, nodes_per_axis)
-    numeric_dual = fenchel.numeric_dual_weight(w, cfg)
+    closed_form = w.dual()
+    # the run's shared dual, or one of its own to compare with the closed form
+    # (so that it is freed when this suite ends)
+    numeric_dual = (fenchel.dual_weight(w, cfg) if closed_form is None
+                    else fenchel.numeric_dual_weight(w, cfg))
     dual_tensor = numeric_dual.eval_on_axes([axis] * w.n)
     header = [f"y_{j + 1}" for j in range(w.n)] + ["value"]
     mesh = np.meshgrid(*([axis] * w.n), indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=1)
     rows = [tuple(c) + (v,) for c, v in zip(coords.tolist(), dual_tensor.ravel().tolist())]
-    closed_form = w.dual()
     if closed_form is not None:
         closed = closed_form.eval(np.stack(mesh, axis=-1)).ravel().tolist()
         header += ["closed_form", "abs_diff"]
@@ -575,7 +578,7 @@ def main(argv=None) -> int:
     total = sum(r.wall_time for r in results)
     ok = all(r.passed for r in results)
     print(f"{'all checks passed' if ok else 'CHECK FAILURES'} "
-          f"({total:.1f}s)")
+          f"({total:.3f}s)")
     return 0 if ok else 1
 
 

@@ -10,8 +10,9 @@ Two conjugation surfaces live here:
   (`verify_identities`) and by the Laplace/moment modules. Every line sup
   is a row of one batched solver, `_sup_lines`; a check loop first hands
   its points to `prefetch_sups` (which raises no numeric failure), so its
-  per-point calls read the memo. The curvature at a maximizer stays three
-  0-d profile calls; separable numeric duals are memoized under a token.
+  per-point calls read the memo, and a batch's curvatures come from one
+  profile call. A separable numeric dual is built once per process for each
+  weight with terms and config (`dual_weight`), and memoized under a token.
 
 The grid transforms compute the exact max over sample nodes (lower
 conjugate), which keeps the Fenchel-Young inequality exact at nodes and
@@ -253,9 +254,10 @@ class SupResult(namedtuple("SupResult", "value argmax lo hi curvature")):
 
 
 # Per-process memo of sups, sublevel volumes and Laplace integrals of keyed
-# objectives, and of the 1-D line sups of keyed separable objectives, one per
-# axis coordinate (see `_truncated_sup`); each entry is a small result object,
-# and a run holds a few hundred of them.
+# objectives, of the 1-D line sups of keyed separable objectives, one per
+# axis coordinate (see `_truncated_sup`), and of shared numeric duals (see
+# `dual_weight`); each entry is a small result object, and a run holds a few
+# hundred of them.
 _MEMO: dict = {}
 
 
@@ -364,13 +366,14 @@ def _peak_curvature(fn: GridFn, t_star: np.ndarray, y: np.ndarray) -> np.ndarray
     return out
 
 
-def _curvature(prof: Callable[[np.ndarray], np.ndarray], tj: float) -> float:
-    """|second difference| of a profile at ``tj``, from three 0-d calls: a
-    0-d call can round apart from an array call (a scalar ``r ** p``)."""
+def _curvature(prof: Callable[[np.ndarray], np.ndarray], ts) -> list:
+    """|second difference| of a profile at each of ``ts``, from one array
+    call on [ts + h, ts - h, ts]: ``prof`` rounds a node as alone (see
+    `_sup_lines`), so a point's value does not depend on the others."""
     h = 1e-3
-    return abs(
-        float(prof(np.array(tj + h)) + prof(np.array(tj - h)) - 2 * prof(np.array(tj)))
-    ) / h**2
+    ts = np.asarray(ts, dtype=np.float64)
+    up, down, mid = prof(np.concatenate((ts + h, ts - h, ts))).reshape(3, -1)
+    return (np.abs(up + down - 2 * mid) / h**2).tolist()
 
 
 def truncated_sup(fn: GridFn, y, cfg: NumericsConfig = DEFAULT,
@@ -397,7 +400,7 @@ def _truncated_sup(fn: GridFn, y: np.ndarray, cfg: NumericsConfig,
             got, = _sup_lines(prof, [yj], step, floor, fn.convex)
             if isinstance(got, DivergenceError):
                 raise got
-            return got + (_curvature(prof, got[1]),)
+            return got + tuple(_curvature(prof, [got[1]]))
 
         # every axis of a keyed function has one profile, so a line depends on
         # the axis coordinate alone
@@ -435,10 +438,10 @@ def prefetch_sups(fn: GridFn, ys, cfg: NumericsConfig = DEFAULT,
     """Store the sups of a keyed separable ``fn`` at the dual points ``ys``
     in the memo, under `truncated_sup`'s keys and with its floats, for a
     loop that then reads them there: the lines the memo lacks in one
-    `_sup_lines` call (their curvature from 0-d calls, as a point's own
-    solve), then each point from its lines. Any other ``fn`` is left alone.
-    It raises no numeric failure: a line that fails is left to the loop's
-    own call."""
+    `_sup_lines` call and their curvatures in one `_curvature` call, then
+    each point from its lines. Any other ``fn`` is left alone. It raises no
+    numeric failure: a line that fails, or a batch whose curvature call
+    fails, is left to the loop's own call."""
     if fn.key is None or fn.axis_profiles is None:
         return
     try:
@@ -452,9 +455,12 @@ def prefetch_sups(fn: GridFn, ys, cfg: NumericsConfig = DEFAULT,
         todo = [c for c, key in lines.items() if key not in _MEMO]
         if todo:
             solved = _sup_lines(prof, np.frombuffer(b"".join(todo)), step, floor, fn.convex)
-            for c, got in zip(todo, solved):
-                if not isinstance(got, DivergenceError):
-                    _MEMO[lines[c]] = got + (_curvature(prof, got[1]),)
+            ok = [(c, got) for c, got in zip(todo, solved)
+                  if not isinstance(got, DivergenceError)]
+            if ok:
+                curv = _curvature(prof, [got[1] for _, got in ok])
+                for (c, got), k in zip(ok, curv):
+                    _MEMO[lines[c]] = got + (k,)
         for r, y in enumerate(ys):
             point = coords[r * fn.n:(r + 1) * fn.n]
             if all(lines[c] in _MEMO for c in point):
@@ -504,6 +510,10 @@ class _NumericDual:
         if not r_max <= self._reach:
             extent = self._primal_extent(r_max)
             if self._samples is None or self._samples[0][-1] < extent - 1e-12:
+                # free the old table first, so that the new one can take its
+                # place in memory (a shared dual lives to the end of a run);
+                # if sampling fails, the next query starts afresh
+                self._samples, self._reach = None, -math.inf
                 sep = self.w.is_separable
                 # a non-separable weight is sampled at the unrefined n = 2
                 # step, whatever its dimension and ``refine``
@@ -557,10 +567,11 @@ _DUAL_TOKENS = itertools.count()
 
 
 def numeric_dual_weight(w: WeightFunction, cfg: NumericsConfig = DEFAULT) -> WeightFunction:
-    """Conjugate weight computed from sampled hulls (no closed form needed).
-    A separable one is memoized under a token drawn here (never a reference
-    to it): its table is a prefix of one fixed grid, so no value moves as it
-    grows. A non-separable table is resampled as it grows: no token."""
+    """Conjugate weight computed from sampled hulls (no closed form needed),
+    built afresh on every call. A separable one is memoized under a token
+    drawn here (never a reference to it): its table is a prefix of one fixed
+    grid, so no value moves as it grows. A non-separable table is resampled
+    as it grows: no token."""
     nd = _NumericDual(w, cfg)
     return WeightFunction(
         n=w.n,
@@ -576,9 +587,17 @@ def numeric_dual_weight(w: WeightFunction, cfg: NumericsConfig = DEFAULT) -> Wei
 
 def dual_weight(w: WeightFunction, cfg: NumericsConfig = DEFAULT) -> WeightFunction:
     """The conjugate weight: the closed form `WeightFunction.dual` when there
-    is one, else numeric."""
+    is one, else numeric. The numeric dual of a separable weight with terms
+    is built once per process for each (n, terms, label, cfg) and shared, so
+    its table and its memoized sups serve every caller; it grows as a prefix
+    of one grid, so sharing moves no value. Any other numeric dual is built
+    afresh (a non-separable table is resampled as it grows)."""
     structural = w.dual()
-    return structural if structural is not None else numeric_dual_weight(w, cfg)
+    if structural is not None:
+        return structural
+    shared = w.terms is not None and w.is_separable
+    return memoized(("dual", (w.n, w.terms)) if shared else None, (w.label, cfg),
+                    lambda: numeric_dual_weight(w, cfg))
 
 
 # ---------------------------------------------------------------------------

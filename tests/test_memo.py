@@ -1,6 +1,7 @@
 """The per-process memo of sups, volumes and Laplace integrals, the shared
-dual of the duality suite, and the single identity report per grid."""
+numeric dual of a run, and the single identity report per grid."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,9 @@ from fockdual.fenchel import log_image, scale_fn, symmetrized_fn
 from fockdual.moments import iter_indices
 
 SEP1_WEIGHT = Path(__file__).resolve().parents[1] / "fdbench" / "weights" / "sep1.json"
+# a radial term with p = 3 does not split over the axes
+RADIAL3 = {"n": 2, "terms": [{"type": "power", "p": 4, "coef": 0.25},
+                             {"type": "radial_power", "p": 3, "coef": 1}]}
 
 
 @pytest.fixture
@@ -161,6 +165,55 @@ def test_stirling_with_shared_dual_is_bit_identical():
                 == fd.stirling_identity_check(w, alpha))
 
 
+def test_all_builds_one_numeric_dual(memo, monkeypatch, tmp_path):
+    built = []
+
+    class Counting(fenchel._NumericDual):
+        def __init__(self, w, cfg):
+            built.append(cfg)
+            super().__init__(w, cfg)
+
+    monkeypatch.setattr(fenchel, "_NumericDual", Counting)
+    assert cli.main(["all", "--weight", str(SEP1_WEIGHT), "--degree", "8",
+                     "--out", str(tmp_path)]) == 0
+    # conjugate, identities and duality read one dual (each built its own before)
+    assert built == [fd.DEFAULT]
+
+
+def test_a_refined_config_gets_a_dual_of_its_own(memo):
+    w = fd.weight_from_json(SEP1_WEIGHT)
+    shared = fd.dual_weight(w)
+    assert fd.dual_weight(fd.weight_from_json(SEP1_WEIGHT)) is shared
+    fine = fd.dual_weight(w, fd.DEFAULT.refined())
+    assert fine is not shared and fine is fd.dual_weight(w, fd.DEFAULT.refined())
+    assert None not in (shared.memo_token, fine.memo_token)
+    assert fine.memo_token != shared.memo_token
+    # numeric_dual_weight builds afresh, with a token of its own
+    fresh = fd.numeric_dual_weight(w)
+    assert fresh is not shared and fresh.memo_token != shared.memo_token
+
+
+def test_non_separable_duals_are_never_shared(memo):
+    # their table is resampled as it grows, so a shared one would move values
+    w = fd.weight_from_json(RADIAL3)
+    assert fd.dual_weight(w) is not fd.dual_weight(w)
+    assert memo == {}
+
+
+def test_a_closed_form_comparison_dual_ends_with_its_suite(memo, tmp_path):
+    # fock:2's numeric dual is only compared with its closed form, so the
+    # memo keeps no reference to it; sep1's is the run's shared dual
+    def duals():
+        return [v for v in memo.values() if isinstance(v, fd.WeightFunction)]
+
+    assert cli.main(["conjugate", "--weight-preset", "fock:2",
+                     "--out", str(tmp_path / "fock2")]) == 0
+    assert memo and duals() == []
+    assert cli.main(["conjugate", "--weight", str(SEP1_WEIGHT),
+                     "--out", str(tmp_path / "sep1")]) == 0
+    assert len(duals()) == 1
+
+
 @pytest.mark.parametrize("refine", [0, 1])
 def test_separable_dual_tables_are_prefixes_of_one_grid(refine):
     # a separable table is np.linspace(0, E, ceil(E / h) + 1), with E a node of
@@ -195,6 +248,26 @@ def test_numeric_dual_skips_extent_sup_inside_its_reach(monkeypatch):
     assert calls == [3.75]
     dual.eval(np.array([[5.0]]))
     assert calls == [3.75, 5.0]
+
+
+def test_a_table_that_fails_to_grow_leaves_the_dual_usable():
+    # a growing table drops the old one before sampling the new; if sampling
+    # fails, the next query samples afresh, with the same floats
+    w = fd.weight_from_json(SEP1_WEIGHT)
+    prof = w.axis_profile()
+
+    def fragile(r):
+        # the extent sups read a few coarse nodes; a table past r = 12 fails
+        if np.size(r) > 30000:
+            raise FloatingPointError("sampling failed")
+        return prof(r)
+
+    dual = fenchel._NumericDual(dataclasses.replace(w, separable_profile=fragile), fd.DEFAULT)
+    q = np.array([[0.5], [1.5], [3.0]])
+    want = dual.eval(q)
+    with pytest.raises(FloatingPointError, match="sampling failed"):
+        dual.eval(np.array([[5000.0]]))
+    assert dual.eval(q).tobytes() == want.tobytes()
 
 
 def test_identities_compute_one_report_per_grid(monkeypatch, tmp_path):

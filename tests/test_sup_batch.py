@@ -1,8 +1,10 @@
 """The batched line solver `_sup_lines`, the memo prefetch `prefetch_sups`
 and the memo keys of separable numeric duals: a batch row is the one-row
+solve bit for bit, a prefetched line (curvature included) is the point's own
 solve bit for bit, a numeric dual's sups do not move when its table grows,
 and the prefetch never raises."""
 
+import contextlib
 import dataclasses
 from pathlib import Path
 
@@ -110,6 +112,50 @@ def test_row_argmax_is_the_first_max_of_each_row(rows):
     assert got.tolist() == [int(np.argmax(r)) for r in rows]
 
 
+@contextlib.contextmanager
+def _own_memo():
+    """A memo of its own for the block (hypothesis runs many examples in one
+    test, so a function-scoped fixture cannot give each one a fresh memo)."""
+    saved = fenchel._MEMO
+    fenchel._MEMO = {}
+    try:
+        yield fenchel._MEMO
+    finally:
+        fenchel._MEMO = saved
+
+
+def _entries(memo, kind: str) -> dict:
+    """A memo's line or sup entries of one 1-D function, by dual coordinate."""
+    return {key[2]: value for key, value in memo.items() if key[1] == kind}
+
+
+@given(weight=st.sampled_from(["fock:1", "power:4:1", "sep1", "sep1*"]),
+       image=st.sampled_from(["log", "sym"]), ys=_YS, data=st.data(),
+       floor=st.sampled_from([None, T_FLOOR]))
+@settings(max_examples=60, deadline=None)
+def test_prefetched_lines_equal_each_points_own_solve_bitwise(weight, image, ys, data, floor):
+    # any batch composition: part of it may have been prefetched before, and
+    # sep1's numeric dual serves the whole batch from one table
+    before = data.draw(st.lists(st.sampled_from(ys), max_size=len(ys)), label="before")
+    fn = _image(weight, image)
+    with _own_memo() as memo:
+        for batch in (before, ys):
+            prefetch_sups(fn, [[y] for y in batch], fd.DEFAULT, floor)
+    lines, sups = _entries(memo, "line"), _entries(memo, "sup")
+    for y in ys:
+        coord = fenchel.value_bytes(y)
+        # a fresh image (a fresh numeric dual for sep1*) and a memo of its own
+        with _own_memo() as solo:
+            try:
+                want = fenchel._truncated_sup(_image(weight, image), np.array([y]),
+                                              fd.DEFAULT, floor)
+            except fenchel.DivergenceError:
+                assert coord not in lines and coord not in sups
+                continue
+        assert _bits(lines[coord]) == _bits(_entries(solo, "line")[coord])
+        assert _sup_bits(sups[coord]) == _sup_bits(want)
+
+
 def _dual_sups(w, ys, cfg=fd.DEFAULT):
     fn = log_image(w)
     return [_sup_bits(fenchel._truncated_sup(fn, np.full(w.n, y), cfg, None)) for y in ys]
@@ -181,6 +227,20 @@ def test_prefetch_never_raises_and_leaves_failures_to_the_loop(memo):
     assert [k for k in memo if k[0] == bad.key] == []
     with pytest.raises(FloatingPointError, match="profile failed"):
         truncated_sup(bad, [1.0])
+
+
+def test_a_batch_whose_curvature_call_fails_stores_nothing(memo, monkeypatch):
+    fn = log_image(fd.make_fock(1))
+
+    def broken(prof, ts):
+        raise FloatingPointError("curvature failed")
+
+    monkeypatch.setattr(fenchel, "_curvature", broken)
+    prefetch_sups(fn, [[1.0], [2.0]])
+    assert memo == {}
+    # the loop's own call raises the error
+    with pytest.raises(FloatingPointError, match="curvature failed"):
+        truncated_sup(fn, [1.0])
 
 
 def test_unkeyed_functions_are_left_alone(memo):
