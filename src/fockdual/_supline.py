@@ -1,5 +1,5 @@
-"""Batched 1-D truncated sups: the line solver behind `fenchel`'s per-point
-sups of separable objectives (a sum of line sups, one per axis coordinate)
+"""Batched 1-D truncated sups: the line solver behind `fenchel._lines` (a
+separable objective's sup is a sum of line sups, one per axis coordinate)
 and behind a numeric dual's sampling extent.
 
 `_sup_lines` maximizes y t - prof(t) for many y against one profile. Each
@@ -66,7 +66,7 @@ def _row_argmax(vals: np.ndarray, lens: np.ndarray) -> np.ndarray:
 def _sup_lines(prof: Callable[[np.ndarray], np.ndarray], ys, step: float,
                floor: Optional[float], concave: bool = False) -> list:
     """Maximize y t - prof(t) over its decay box, for each y of ``ys``: per
-    row (value, argmax, lo, hi), or the DivergenceError the row raises.
+    row (value, argmax, lo, hi, curvature) or the row's DivergenceError.
 
     The box grows until the objective has dropped `DECAY_BUDGET` below its
     running max at both ends (a floor pins the lower end). Its coarse probe
@@ -82,7 +82,8 @@ def _sup_lines(prof: Callable[[np.ndarray], np.ndarray], ys, step: float,
     Each pass is one ``prof`` call on the joined nodes of the rows taking
     part: ``prof`` rounds a node as alone (numpy's elementwise arithmetic on
     an array; a 0-d call need not: a scalar ``r ** p``), so a row has a
-    one-row call's floats.
+    one-row call's floats. A last call on [t + h, t - h, t] at every row's
+    argmax t gives the curvatures |prof(t + h) + prof(t - h) - 2 prof(t)| / h^2.
     """
     ys = np.asarray(ys, dtype=np.float64)
     out: list = [None] * ys.size
@@ -185,14 +186,10 @@ def _sup_lines(prof: Callable[[np.ndarray], np.ndarray], ys, step: float,
             out[fin[j]] = (value, node, float(lo_box[j]), float(hi_box[j]))
         level[todo[cut]] += 1
         todo = todo[cut]
+    h = 1e-3
+    ts = np.array([out[i][1] for i in fin])
+    up, down, mid = prof(np.concatenate((ts + h, ts - h, ts))).reshape(3, -1)
+    for i, k in zip(fin.tolist(), (np.abs(up + down - 2 * mid) / h**2).tolist()):
+        out[i] += (k,)
     return out
 
-
-def _sup_line(objective: Callable[[np.ndarray], np.ndarray], step: float,
-              floor: Optional[float], concave: bool = False) -> tuple[float, float, float, float]:
-    """The one row of `_sup_lines` with ``prof`` = -objective at y = 0 (the
-    objective's floats, up to the sign of a zero); raises its DivergenceError."""
-    line, = _sup_lines(lambda t: -objective(t), [0.0], step, floor, concave)
-    if isinstance(line, DivergenceError):
-        raise line
-    return line

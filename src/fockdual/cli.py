@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import duality, fenchel, laplace, moments, weights
-from .config import REFINE_SHRINK, T_FLOOR, TOL_IDENTITY, NumericsConfig
+from .config import REFINE_SHRINK, T_FLOOR, TENSOR_NODES_MAX, TOL_IDENTITY, NumericsConfig
 from .fenchel import GridAxis, SampledFunction
 from .weights import WeightFunction, WeightSpecError
 
@@ -189,6 +189,14 @@ def _fenchel_young_gap(f: SampledFunction, conj: SampledFunction) -> float:
 @_suite
 def cmd_conjugate(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
                   run: RunConfig) -> None:
+    # nodes per axis of the dual table, the primal grid and the dual grid:
+    # each is a full n-D tensor, so the largest is checked before any is built
+    nodes_per_axis, counts, dual_counts = {1: (65, 321, 257),
+                                           2: (33, 97, 65)}.get(w.n, (9, 25, 17))
+    largest = max(nodes_per_axis, counts, dual_counts) ** w.n
+    if largest > TENSOR_NODES_MAX:
+        raise ValueError(f"the conjugate suite's grids need {largest} nodes at n = {w.n}, "
+                         f"past the tensor-grid budget of {TENSOR_NODES_MAX:.0e}")
     report = weights.validate_class_V(w)
     result.add(
         "class_v",
@@ -197,7 +205,6 @@ def cmd_conjugate(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
     )
 
     # dual weight table on [0, 4]^n, scan-based, against the closed form
-    nodes_per_axis = {1: 65, 2: 33}.get(w.n, 9)
     axis = np.linspace(0.0, 4.0, nodes_per_axis)
     closed_form = w.dual()
     # the run's shared dual, or one of its own to compare with the closed form
@@ -239,7 +246,6 @@ def cmd_conjugate(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
                  rows)
 
     # grid transform invariants: Fenchel-Young and biconjugation
-    counts = {1: 321, 2: 97}.get(w.n, 25)
     primal = tuple(GridAxis(-6.0, 6.0, counts) for _ in range(w.n))
     primal_nodes = [a.nodes() for a in primal]
     sym = fenchel.symmetrized_fn(w)
@@ -248,7 +254,6 @@ def cmd_conjugate(result: SuiteResult, w: WeightFunction, cfg: NumericsConfig,
          if w.is_separable else SampledFunction(primal, sym.on_axes(primal_nodes)))
     slope_hi = max(float(np.max(np.abs(np.diff(f.values, axis=j)))) / primal[j].step
                    for j in range(w.n))
-    dual_counts = {1: 257, 2: 65}.get(w.n, 17)
     dual_grid = tuple(
         GridAxis(-1.05 * slope_hi, 1.05 * slope_hi, dual_counts) for _ in range(w.n)
     )

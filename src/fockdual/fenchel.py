@@ -7,12 +7,13 @@ Two conjugation surfaces live here:
   dual, used for dual tables and biconjugation, per axis for sums of profiles;
 * per-point truncated sups (`truncated_sup`, `log_conj`)
   over decay-budget boxes, used by the identity verifier
-  (`verify_identities`) and by the Laplace/moment modules. Every line sup
-  is a row of one batched solver, `_sup_lines`; a check loop first hands
-  its points to `prefetch_sups` (which raises no numeric failure), so its
-  per-point calls read the memo, and a batch's curvatures come from one
-  profile call. A separable numeric dual is built once per process for each
-  weight with terms and config (`dual_weight`), and memoized under a token.
+  (`verify_identities`) and by the Laplace/moment modules. A separable sup
+  sums line sups from `_lines`, the one memo of lines, which solves those it
+  lacks as the rows of one `_sup_lines` call; a check loop first hands its
+  points to `prefetch_sups` (which raises no numeric failure), so its
+  per-point calls make none. A separable numeric dual is built once per
+  process for each weight with terms and config (`dual_weight`), and
+  memoized under a token.
 
 The grid transforms compute the exact max over sample nodes (lower
 conjugate), which keeps the Fenchel-Young inequality exact at nodes and
@@ -32,7 +33,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from ._scan import Hull, conjugate_lines
-from ._supline import _EXPAND_CAP, DivergenceError, _sup_line, _sup_lines
+from ._supline import _EXPAND_CAP, DivergenceError, _sup_lines
 from .config import CONJ_STEP, DECAY_BUDGET, DEFAULT, T_FLOOR, NumericsConfig
 from .weights import WeightFunction, add_on_axes
 
@@ -97,9 +98,9 @@ class GridFn:
     profiles, which unlocks the exact per-axis conjugation fast path.
     ``key`` names the function by value (see `_weight_image`); sups, volumes
     and integrals of a keyed function are memoized on it (see `memoized`).
-    A keyed separable function has the same profile on every axis.
+    A separable function has the same profile on every axis (see `_lines`).
     ``convex`` is set when the function is convex by construction, so that
-    <y, t> - fn(t) is concave in t for every y (see `_sup_line`).
+    <y, t> - fn(t) is concave in t for every y (see `_sup_lines`).
     """
 
     n: int
@@ -255,7 +256,7 @@ class SupResult(namedtuple("SupResult", "value argmax lo hi curvature")):
 
 # Per-process memo of sups, sublevel volumes and Laplace integrals of keyed
 # objectives, of the 1-D line sups of keyed separable objectives, one per
-# axis coordinate (see `_truncated_sup`), and of shared numeric duals (see
+# axis coordinate (see `_lines`), and of shared numeric duals (see
 # `dual_weight`); each entry is a small result object, and a run holds a few
 # hundred of them.
 _MEMO: dict = {}
@@ -366,14 +367,25 @@ def _peak_curvature(fn: GridFn, t_star: np.ndarray, y: np.ndarray) -> np.ndarray
     return out
 
 
-def _curvature(prof: Callable[[np.ndarray], np.ndarray], ts) -> list:
-    """|second difference| of a profile at each of ``ts``, from one array
-    call on [ts + h, ts - h, ts]: ``prof`` rounds a node as alone (see
-    `_sup_lines`), so a point's value does not depend on the others."""
-    h = 1e-3
-    ts = np.asarray(ts, dtype=np.float64)
-    up, down, mid = prof(np.concatenate((ts + h, ts - h, ts))).reshape(3, -1)
-    return (np.abs(up + down - 2 * mid) / h**2).tolist()
+def _lines(fn: GridFn, ys, cfg: NumericsConfig, floor: Optional[float]) -> list:
+    """The lines (value, argmax, lo, hi, curvature) of a separable ``fn`` at
+    the coordinates of the dual points ``ys``, in row order, a failing one as
+    its DivergenceError. Every axis has one profile, so a line depends on its
+    coordinate alone: the coordinates the memo lacks are the rows of one
+    `_sup_lines` call, and each line that did not fail is memoized under its
+    coordinate (an unkeyed ``fn``'s only within this call)."""
+    memo = _MEMO if fn.key is not None else {}
+    raw = value_bytes(ys)  # each coordinate's `value_bytes`, joined
+    keys = [(fn.key, "line", raw[i:i + 8], cfg, floor) for i in range(0, len(raw), 8)]
+    todo = [k for k in dict.fromkeys(keys) if k not in memo]
+    failed = {}
+    if todo:
+        coords = np.frombuffer(b"".join(k[2] for k in todo))
+        solved = _sup_lines(fn.axis_profiles[0], coords, cfg.step_for(fn.n, separable=True),
+                            floor, fn.convex)
+        for k, got in zip(todo, solved):
+            (failed if isinstance(got, DivergenceError) else memo)[k] = got
+    return [failed[k] if k in failed else memo[k] for k in keys]
 
 
 def truncated_sup(fn: GridFn, y, cfg: NumericsConfig = DEFAULT,
@@ -394,19 +406,10 @@ def truncated_sup(fn: GridFn, y, cfg: NumericsConfig = DEFAULT,
 def _truncated_sup(fn: GridFn, y: np.ndarray, cfg: NumericsConfig,
                    floor: Optional[float]) -> SupResult:
     if fn.axis_profiles is not None:
-        step = cfg.step_for(fn.n, separable=True)
-
-        def line(prof, yj):
-            got, = _sup_lines(prof, [yj], step, floor, fn.convex)
+        lines = _lines(fn, y, cfg, floor)
+        for got in lines:
             if isinstance(got, DivergenceError):
                 raise got
-            return got + tuple(_curvature(prof, [got[1]]))
-
-        # every axis of a keyed function has one profile, so a line depends on
-        # the axis coordinate alone
-        lines = [memoized(fn.key, ("line", value_bytes(y[j]), cfg, floor),
-                          lambda p=prof, yj=y[j]: line(p, yj))
-                 for j, prof in enumerate(fn.axis_profiles)]
         total = 0.0
         for got in lines:
             total += got[0]
@@ -435,37 +438,18 @@ def _truncated_sup(fn: GridFn, y: np.ndarray, cfg: NumericsConfig,
 
 def prefetch_sups(fn: GridFn, ys, cfg: NumericsConfig = DEFAULT,
                   floor: Optional[float] = None) -> None:
-    """Store the sups of a keyed separable ``fn`` at the dual points ``ys``
-    in the memo, under `truncated_sup`'s keys and with its floats, for a
-    loop that then reads them there: the lines the memo lacks in one
-    `_sup_lines` call and their curvatures in one `_curvature` call, then
-    each point from its lines. Any other ``fn`` is left alone. It raises no
-    numeric failure: a line that fails, or a batch whose curvature call
-    fails, is left to the loop's own call."""
+    """Store the line sups of a keyed separable ``fn`` at the dual points
+    ``ys`` in the memo, through the one `_lines` call that `truncated_sup`
+    makes per point, so a loop's calls at those points then make no solver
+    call. Any other ``fn`` is left alone. It raises no numeric failure: a
+    line that fails, or a batch whose curvature call fails, is left to the
+    loop's own call."""
     if fn.key is None or fn.axis_profiles is None:
         return
     try:
         ys = np.asarray(ys, dtype=np.float64).reshape(-1, fn.n)
-        if not np.isfinite(ys).all():
-            return
-        prof, step = fn.axis_profiles[0], cfg.step_for(fn.n, separable=True)
-        raw = ys.tobytes()  # each coordinate's and each point's `value_bytes`
-        coords = [raw[i:i + 8] for i in range(0, len(raw), 8)]
-        lines = {c: (fn.key, "line", c, cfg, floor) for c in coords}
-        todo = [c for c, key in lines.items() if key not in _MEMO]
-        if todo:
-            solved = _sup_lines(prof, np.frombuffer(b"".join(todo)), step, floor, fn.convex)
-            ok = [(c, got) for c, got in zip(todo, solved)
-                  if not isinstance(got, DivergenceError)]
-            if ok:
-                curv = _curvature(prof, [got[1] for _, got in ok])
-                for (c, got), k in zip(ok, curv):
-                    _MEMO[lines[c]] = got + (k,)
-        for r, y in enumerate(ys):
-            point = coords[r * fn.n:(r + 1) * fn.n]
-            if all(lines[c] in _MEMO for c in point):
-                memoized(fn.key, ("sup", b"".join(point), cfg, floor),
-                         lambda: _truncated_sup(fn, y, cfg, floor))
+        if np.isfinite(ys).all():
+            _lines(fn, ys, cfg, floor)
     except (ArithmeticError, RuntimeError, ValueError):
         # a numeric failure on the batch (a profile that overflows, a numeric
         # dual's extent sup that diverges): the loop's own calls raise it
@@ -493,16 +477,14 @@ class _NumericDual:
 
     def _primal_extent(self, r_max: float) -> float:
         if self.w.is_separable:
-            prof = self.w.axis_profile()
-            _, _, _, hi = _sup_line(lambda t: max(r_max, 1.0) * t - prof(t),
-                                    step=0.5, floor=0.0)
-            return hi
-        slope = max(r_max * self.n, 1.0)
-        _, _, _, hi = _sup_line(
-            lambda t: slope * t - self.w.eval(np.repeat(t[:, None], self.n, axis=1)),
-            step=0.5, floor=0.0,
-        )
-        return hi
+            prof, slope = self.w.axis_profile(), max(r_max, 1.0)
+        else:
+            prof, slope = (lambda t: self.w.eval(np.repeat(t[:, None], self.n, axis=1)),
+                           max(r_max * self.n, 1.0))
+        line, = _sup_lines(prof, [slope], 0.5, 0.0)
+        if isinstance(line, DivergenceError):
+            raise line
+        return line[3]
 
     def _table(self, r_max: float) -> tuple[np.ndarray, np.ndarray, Optional[Hull]]:
         """Samples reaching far enough for duals up to ``r_max``; they are

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import json
 import math
 from collections import namedtuple
@@ -56,11 +55,17 @@ class MultiIndex(namedtuple("MultiIndex", "components")):
         return sum(math.lgamma(c + 1) for c in self.components)
 
 
+def _bounded(n: int, budget: int) -> list:
+    """The n-tuples of nonnegative ints with sum at most ``budget``, in
+    lexicographic order, built from those alone."""
+    if n == 0:
+        return [()] if budget >= 0 else []
+    return [(c,) + rest for c in range(budget + 1) for rest in _bounded(n - 1, budget - c)]
+
+
 def iter_indices(n: int, max_degree: int) -> Iterator[MultiIndex]:
     """All alpha with |alpha| <= max_degree, in lexicographic order."""
-    for c in itertools.product(range(max_degree + 1), repeat=n):
-        if sum(c) <= max_degree:
-            yield MultiIndex(c)
+    return map(MultiIndex, _bounded(n, max_degree))
 
 
 @functools.lru_cache(maxsize=None)

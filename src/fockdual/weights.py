@@ -44,6 +44,12 @@ class PowerTerm(namedtuple("PowerTerm", "kind p coef")):
     def __new__(cls, kind: str, p: float, coef: float):
         if kind not in ("power", "radial_power"):
             raise WeightSpecError(f"unknown term type {kind!r}")
+        for name, v in (("p", p), ("coef", coef)):
+            # bool is an int subclass; an int past the float range fails too
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not abs(v) <= sys.float_info.max):
+                raise WeightSpecError(f"term {name!r} must be a finite number, got {v!r}")
+        p, coef = float(p), float(coef)
         if not p > 1.0:
             raise WeightSpecError("term exponent must exceed 1 (superlinearity)")
         if not coef > 0.0:
@@ -80,6 +86,9 @@ class PowerTerm(namedtuple("PowerTerm", "kind p coef")):
         # sup_x (x*y - c*x^p/p) = c^(1-q) * y^q / q with 1/p + 1/q = 1;
         # the same rule holds radially for nondecreasing profiles.
         q = self.p / (self.p - 1.0)
+        if not q > 1.0:
+            raise WeightSpecError(f"the dual exponent of p = {self.p!r} is {q!r}, "
+                                  "which does not exceed 1")
         try:
             return PowerTerm(self.kind, q, self.coef ** (1.0 - q))
         except OverflowError as exc:
@@ -224,11 +233,7 @@ def weight_from_json(source) -> WeightFunction:
             kind, p, coef = entry["type"], entry["p"], entry["coef"]
         except KeyError as exc:
             raise WeightSpecError(f"term missing field {exc}") from exc
-        for name, v in (("p", p), ("coef", coef)):
-            if (isinstance(v, bool) or not isinstance(v, (int, float))
-                    or not abs(v) <= sys.float_info.max):
-                raise WeightSpecError(f"term {name!r} must be a finite number, got {v!r}")
-        terms.append(PowerTerm(kind, float(p), float(coef)))
+        terms.append(PowerTerm(kind, p, coef))
     label = "json:" + ",".join(f"{t.kind[0]}{t.p:g}x{t.coef:g}" for t in terms)
     return _checked(n, terms, label)
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,25 @@ def test_term_field_must_be_a_finite_number(tmp_path, capsys, fields, name):
     assert run_cli(["moments", "--weight", str(path), "--degree", "2",
                     "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"error: term {name!r} must be a finite number")
+
+
+@pytest.mark.parametrize("source, message", [
+    (["--weight-preset", "power:inf:1"], "term 'p' must be a finite number, got inf"),
+    (["--weight-preset", "power:nan:1"], "term 'p' must be a finite number, got nan"),
+    ({"n": 1, "terms": [{"type": "power", "p": 1e308, "coef": 1}]},
+     "the dual exponent of p = 1e+308 is 1.0, which does not exceed 1"),
+], ids=["preset-p-inf", "preset-p-nan", "json-p-1e308"])
+def test_extreme_exponents_name_their_fault(tmp_path, capsys, source, message):
+    # a non-finite p, and a dual exponent p / (p - 1) that rounds to 1, are
+    # not "exponent must exceed 1"
+    if isinstance(source, dict):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(source))
+        source = ["--weight", str(path)]
+    assert run_cli(["identities", *source, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "superlinearity" not in err
 
 
 def test_csv_columns_format_as_cells(tmp_path):
@@ -246,6 +266,18 @@ def test_face_probe_past_the_node_budget_exits_3(tmp_path, capsys):
     assert "face probe needs 13951514882 nodes" in capsys.readouterr().err
     # the moment table is written after the checks, so a failed run leaves none
     assert list(tmp_path.glob("moments_table.*")) == []
+
+
+def test_conjugate_grids_past_the_node_budget_exit_3(tmp_path, capsys):
+    # the primal grid alone holds 25^6 nodes at n = 6; the suite checks its
+    # sizes before it builds anything
+    t0 = time.perf_counter()
+    assert run_cli(["conjugate", "--weight-preset", "fock:6", "--out", str(tmp_path)]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "the conjugate suite's grids need 244140625 nodes at n = 6" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("n,degree", [(1, 8), (2, 4)])

@@ -217,7 +217,7 @@ def test_a_closed_form_comparison_dual_ends_with_its_suite(memo, tmp_path):
 @pytest.mark.parametrize("refine", [0, 1])
 def test_separable_dual_tables_are_prefixes_of_one_grid(refine):
     # a separable table is np.linspace(0, E, ceil(E / h) + 1), with E a node of
-    # `_sup_line`'s coarse grid (a multiple of 0.25): its nodes are exactly
+    # `_sup_lines`' coarse grid (a multiple of 0.25): its nodes are exactly
     # i * h, so a grown table starts with the smaller one, and a shared, grown
     # dual gives the floats of a fresh one (see the Stirling test above)
     cfg = fd.NumericsConfig(refine)

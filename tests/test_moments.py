@@ -1,8 +1,10 @@
 """Moment integrals against the closed-form oracle, the two bound lemmas,
 and table serialization."""
 
+import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +31,22 @@ def test_iter_indices_complete():
     assert len(idx) == 10  # C(3+2, 2)
     assert idx[0] == MultiIndex((0, 0))
     assert idx == sorted(idx)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_iter_indices_equal_the_product_filter_oracle(n):
+    for degree in range(7):
+        oracle = [MultiIndex(c) for c in itertools.product(range(degree + 1), repeat=n)
+                  if sum(c) <= degree]
+        assert list(iter_indices(n, degree)) == oracle
+
+
+def test_iter_indices_enumerate_only_the_bounded_indices():
+    # (8 + 1)^9 = 387,420,489 tuples would be filtered; C(17, 9) are kept
+    t0 = time.perf_counter()
+    count = sum(1 for _ in iter_indices(9, 8))
+    assert count == math.comb(17, 9) == 24310
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_fock_oracle_values():

@@ -1,8 +1,9 @@
-"""The batched line solver `_sup_lines`, the memo prefetch `prefetch_sups`
-and the memo keys of separable numeric duals: a batch row is the one-row
-solve bit for bit, a prefetched line (curvature included) is the point's own
-solve bit for bit, a numeric dual's sups do not move when its table grows,
-and the prefetch never raises."""
+"""The batched line solver `_sup_lines`, the line memo `_lines`, the memo
+prefetch `prefetch_sups` and the memo keys of separable numeric duals: a
+batch row (curvature included) is the one-row solve bit for bit, a point's
+lines are one batch, a prefetched point is the point's own solve bit for
+bit and makes no solver call, a numeric dual's sups do not move when its
+table grows, and the prefetch never raises."""
 
 import contextlib
 import dataclasses
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import fockdual as fd
 from fockdual import fenchel
-from fockdual._supline import _fine_nodes, _row_argmax, _sup_line, _sup_lines
+from fockdual._supline import _fine_nodes, _row_argmax, _sup_lines
 from fockdual.config import T_FLOOR
 from fockdual.fenchel import log_image, prefetch_sups, scale_fn, symmetrized_fn, truncated_sup
 
@@ -47,6 +48,15 @@ def memo(monkeypatch):
     return store
 
 
+def _sup_line(objective, step, floor, concave=False):
+    """The one row of `_sup_lines` with ``prof`` = -objective at y = 0 (the
+    objective's floats, up to the sign of a zero); raises its DivergenceError."""
+    line, = _sup_lines(lambda t: -objective(t), [0.0], step, floor, concave)
+    if isinstance(line, fenchel.DivergenceError):
+        raise line
+    return line
+
+
 def _image(weight: str, image: str):
     w = WEIGHTS[weight]
     return IMAGES[image](w() if callable(w) else w)
@@ -76,12 +86,17 @@ def test_batch_rows_equal_one_row_solves_bitwise(weight, image, ys, data, floor,
     batch = _sup_lines(prof, ys, step, floor, concave)
     assert len(batch) == len(ys)
     for y, row in zip(ys, batch):
+        alone, = _sup_lines(single, [y], step, floor, concave)
         try:
-            want = _sup_line(lambda t, y=y: y * t - single(t), step, floor, concave)
+            tilted = _sup_line(lambda t, y=y: y * t - single(t), step, floor, concave)
         except fenchel.DivergenceError as exc:
             assert isinstance(row, fenchel.DivergenceError) and str(row) == str(exc)
+            assert isinstance(alone, fenchel.DivergenceError) and str(alone) == str(exc)
         else:
-            assert _bits(row) == _bits(want)
+            # the curvature is the profile's own, so only the one-row solve of
+            # the same profile has its floats
+            assert _bits(row) == _bits(alone)
+            assert _bits(row[:4]) == _bits(tilted[:4])
 
 
 @pytest.mark.parametrize("floor", [None, T_FLOOR])
@@ -89,7 +104,7 @@ def test_single_row_batch_equals_the_line_solver(floor):
     prof = log_image(WEIGHTS["sep1"]).axis_profiles[0]
     step = fd.DEFAULT.step_for(1, separable=True)
     row, = _sup_lines(prof, [1.37], step, floor, True)
-    assert _bits(row) == _bits(_sup_line(lambda t: 1.37 * t - prof(t), step, floor, True))
+    assert _bits(row[:4]) == _bits(_sup_line(lambda t: 1.37 * t - prof(t), step, floor, True)[:4])
 
 
 def test_fine_nodes_join_the_rows_slices():
@@ -129,6 +144,22 @@ def _entries(memo, kind: str) -> dict:
     return {key[2]: value for key, value in memo.items() if key[1] == kind}
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a prefetched line was solved again")
+
+
+@contextlib.contextmanager
+def _no_solver_calls():
+    """`fenchel._sup_lines` raises within the block (hypothesis examples share
+    one test, so the monkeypatch fixture cannot scope this per example)."""
+    saved = fenchel._sup_lines
+    fenchel._sup_lines = _refuse
+    try:
+        yield
+    finally:
+        fenchel._sup_lines = saved
+
+
 @given(weight=st.sampled_from(["fock:1", "power:4:1", "sep1", "sep1*"]),
        image=st.sampled_from(["log", "sym"]), ys=_YS, data=st.data(),
        floor=st.sampled_from([None, T_FLOOR]))
@@ -141,7 +172,11 @@ def test_prefetched_lines_equal_each_points_own_solve_bitwise(weight, image, ys,
     with _own_memo() as memo:
         for batch in (before, ys):
             prefetch_sups(fn, [[y] for y in batch], fd.DEFAULT, floor)
-    lines, sups = _entries(memo, "line"), _entries(memo, "sup")
+        lines = _entries(memo, "line")
+        # the loop's own calls at the prefetched points make no solver call
+        with _no_solver_calls():
+            looped = {fenchel.value_bytes(y): truncated_sup(fn, [y], fd.DEFAULT, floor)
+                      for y in ys if fenchel.value_bytes(y) in lines}
     for y in ys:
         coord = fenchel.value_bytes(y)
         # a fresh image (a fresh numeric dual for sep1*) and a memo of its own
@@ -150,10 +185,10 @@ def test_prefetched_lines_equal_each_points_own_solve_bitwise(weight, image, ys,
                 want = fenchel._truncated_sup(_image(weight, image), np.array([y]),
                                               fd.DEFAULT, floor)
             except fenchel.DivergenceError:
-                assert coord not in lines and coord not in sups
+                assert coord not in lines
                 continue
         assert _bits(lines[coord]) == _bits(_entries(solo, "line")[coord])
-        assert _sup_bits(sups[coord]) == _sup_bits(want)
+        assert _sup_bits(looped[coord]) == _sup_bits(want)
 
 
 def _dual_sups(w, ys, cfg=fd.DEFAULT):
@@ -193,13 +228,10 @@ def test_prefetch_fills_the_memo_the_loop_reads(memo, monkeypatch):
     want = [_sup_bits(fenchel._truncated_sup(fn, np.array(y), fd.DEFAULT, T_FLOOR))
             for y in points]
     prefetch_sups(fn, points, fd.DEFAULT, T_FLOOR)
+    # one line per distinct coordinate; the loop assembles each point
     assert len([k for k in memo if k[1] == "line"]) == 3
-    assert len([k for k in memo if k[1] == "sup"]) == 3
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a prefetched sup was solved again")
-
-    monkeypatch.setattr(fenchel, "_sup_lines", refuse)
+    assert [k for k in memo if k[1] != "line"] == []
+    monkeypatch.setattr(fenchel, "_sup_lines", _refuse)
     assert [_sup_bits(truncated_sup(fn, y, fd.DEFAULT, T_FLOOR)) for y in points] == want
 
 
@@ -229,14 +261,26 @@ def test_prefetch_never_raises_and_leaves_failures_to_the_loop(memo):
         truncated_sup(bad, [1.0])
 
 
-def test_a_batch_whose_curvature_call_fails_stores_nothing(memo, monkeypatch):
-    fn = log_image(fd.make_fock(1))
+def test_a_batch_whose_curvature_call_fails_stores_nothing(memo):
+    good = log_image(fd.make_fock(1))
+    prof = good.axis_profiles[0]
 
-    def broken(prof, ts):
-        raise FloatingPointError("curvature failed")
+    sizes = []
 
-    monkeypatch.setattr(fenchel, "_curvature", broken)
+    def broken(t):
+        sizes.append(t.size)
+        # the curvature call reads [t + h, t - h, t] at the rows' argmaxes t
+        k = t.size // 3
+        mid = t[2 * k:]
+        if (k and t.size == 3 * k and np.array_equal(t[:k], mid + 1e-3)
+                and np.array_equal(t[k:2 * k], mid - 1e-3)):
+            raise FloatingPointError("curvature failed")
+        return prof(t)
+
+    fn = dataclasses.replace(good, axis_profiles=(broken,))
     prefetch_sups(fn, [[1.0], [2.0]])
+    # the solve ran, and its last call, on both rows, raised
+    assert len(sizes) > 1 and sizes[-1] == 6
     assert memo == {}
     # the loop's own call raises the error
     with pytest.raises(FloatingPointError, match="curvature failed"):
@@ -248,3 +292,64 @@ def test_unkeyed_functions_are_left_alone(memo):
     prefetch_sups(fn, [[1.0], [2.0]])
     prefetch_sups(log_image(fd.numeric_dual_weight(fd.weight_from_json(RADIAL3))), [[1.0, 1.0]])
     assert memo == {}
+
+
+def _counting_solver(monkeypatch) -> list:
+    """The rows of every `_sup_lines` call from `fenchel`, one list per call."""
+    calls = []
+    inner = fenchel._sup_lines
+
+    def counting(prof, ys, *args, **kwargs):
+        calls.append(list(ys))
+        return inner(prof, ys, *args, **kwargs)
+
+    monkeypatch.setattr(fenchel, "_sup_lines", counting)
+    return calls
+
+
+def test_a_points_unseen_lines_are_one_batch(memo, monkeypatch):
+    fn = log_image(fd.make_fock(2))
+    calls = _counting_solver(monkeypatch)
+    res = truncated_sup(fn, [0.731, 1.37], fd.DEFAULT, T_FLOOR)
+    assert calls == [[0.731, 1.37]]
+    # each line is the one-row solve of its coordinate
+    prof = fn.axis_profiles[0]
+    for j, y in enumerate((0.731, 1.37)):
+        alone, = _sup_lines(prof, [y], fd.DEFAULT.step_for(2, separable=True), T_FLOOR, True)
+        assert _bits([res.argmax[j], res.lo[j], res.hi[j], res.curvature[j]]) == _bits(alone[1:])
+
+
+def test_an_unkeyed_copy_is_not_memoized_and_has_the_keyed_floats(memo, monkeypatch):
+    fn = log_image(fd.make_fock(2))
+    unkeyed = dataclasses.replace(fn, key=None)
+    calls = _counting_solver(monkeypatch)
+    for y in ([0.731, 1.37], [2.41, 2.41]):
+        calls.clear()
+        got = truncated_sup(unkeyed, y, fd.DEFAULT, T_FLOOR)
+        assert memo == {}
+        # a point's distinct coordinates are one batch, as for a keyed function
+        assert calls == [list(dict.fromkeys(y))]
+        assert _sup_bits(got) == _sup_bits(truncated_sup(fn, y, fd.DEFAULT, T_FLOOR))
+        memo.clear()
+
+
+def test_a_point_raises_its_first_failing_axis_and_keeps_the_rest(memo):
+    fn = log_image(fd.make_fock(2))
+    step = fd.DEFAULT.step_for(2, separable=True)
+    # without a floor the line sup at y = 0 is only approached as t -> -inf
+    failing, solved = _sup_lines(fn.axis_profiles[0], [0.0, 1.5], step, None, True)
+    assert isinstance(failing, fenchel.DivergenceError)
+    with pytest.raises(fenchel.DivergenceError) as raised:
+        truncated_sup(fn, [0.0, 1.5])
+    assert str(raised.value) == str(failing)
+    # the point's other line was solved in the same batch and is kept
+    assert _bits(_entries(memo, "line")[fenchel.value_bytes(1.5)]) == _bits(solved)
+    assert fenchel.value_bytes(0.0) not in _entries(memo, "line")
+    # when both lines fail, with different messages, axis 0's is raised
+    with np.errstate(invalid="ignore"):  # inf * 0 on the coarse lattice
+        for y in ([0.0, np.inf], [np.inf, 0.0]):
+            first, second = _sup_lines(fn.axis_profiles[0], y, step, None, True)
+            assert str(first) != str(second)
+            with pytest.raises(fenchel.DivergenceError) as raised:
+                truncated_sup(fn, y)
+            assert str(raised.value) == str(first)

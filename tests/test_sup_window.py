@@ -1,4 +1,4 @@
-"""The fine passes of `_sup_line` build and evaluate only a strided window
+"""The fine passes of `_sup_lines` build and evaluate only a strided window
 and a span around its argmax for objectives concave by construction; these
 tests pin that they give the same floats as the whole fine grid, that each
 node is the linspace float, how many nodes are built and evaluated, that
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import fockdual as fd
 from fockdual import _supline, cli, fenchel
-from fockdual._supline import _fine_nodes, _sup_line
+from fockdual._supline import _fine_nodes, _sup_lines
 from fockdual.config import CONJ_STEP, T_FLOOR, by_dim
 from fockdual.fenchel import log_image, scale_fn, symmetrized_fn, truncated_sup
 
@@ -38,6 +38,16 @@ def _bits(*values) -> bytes:
 def _sup_bits(res) -> bytes:
     return b"".join(np.asarray(a, dtype=np.float64).tobytes()
                     for a in (res.value, res.argmax, res.lo, res.hi, res.curvature))
+
+
+def _sup_line(objective, step, floor, concave=False):
+    """The one row of `_sup_lines` with ``prof`` = -objective at y = 0 (the
+    objective's floats, up to the sign of a zero); raises its DivergenceError.
+    Its last ``objective`` call is the curvature call on three nodes."""
+    line, = _sup_lines(lambda t: -objective(t), [0.0], step, floor, concave)
+    if isinstance(line, fenchel.DivergenceError):
+        raise line
+    return line
 
 
 def _weights():
@@ -95,12 +105,14 @@ def test_window_evaluates_few_fine_nodes(monkeypatch):
             inputs.append(t)
             return y * t - prof(t)
 
-        _, _, lo, hi = _sup_line(counting, step, floor, concave=True)
+        lo, hi = _sup_line(counting, step, floor, concave=True)[2:4]
         assert built  # the fine passes go through the patched builder
         intervals = 1 << max(1, math.ceil(math.log2((hi - lo) / step)))
         fine_step = (hi - lo) / intervals
-        sizes = [t.size for t in inputs]
-        # the last call is the last fine pass: two strides either side
+        # the last call reads the curvature's three nodes
+        assert inputs[-1].size == 3
+        sizes = [t.size for t in inputs[:-1]]
+        # the call before it is the last fine pass: two strides either side
         assert sizes[-1] <= 4 * 0.25 / fine_step + 8
         assert sizes[-1] < (intervals + 1) / 10
         assert sizes[-1] <= 4 * _supline._STRIDE + 8
@@ -176,14 +188,15 @@ def test_span_max_on_a_cut_edge_widens_to_the_window():
         return -50.0 * np.abs(t - centre)
 
     oracle = _sup_line(objective, by_dim(CONJ_STEP, 1), None, concave=False)
-    count = sizes[-1]
+    count = sizes[-2]  # the last call reads the curvature's three nodes
     sizes.clear()
     got = _sup_line(objective, by_dim(CONJ_STEP, 1), None, concave=True)
     assert _bits(*got) == _bits(*oracle)
     assert abs(got[1] - 0.2) < 1e-3
     # the span, then the window; never the whole grid
-    assert sizes[-2] <= 4 * _supline._STRIDE + 8
-    assert 4 * _supline._STRIDE + 8 < sizes[-1] < count
+    assert sizes[-1] == 3
+    assert sizes[-3] <= 4 * _supline._STRIDE + 8
+    assert 4 * _supline._STRIDE + 8 < sizes[-2] < count
 
 
 def test_convexity_follows_the_construction(nonsmooth_convex):
